@@ -258,8 +258,8 @@ def load_csv(
 
     The leading ``train_fraction`` of rows becomes the training partition
     (no shuffling unless ``seed`` is given, in which case rows are permuted
-    deterministically first).  Parse failures report file line and column
-    name.
+    deterministically first).  Parse failures and non-finite values (NaN,
+    inf) report file line and column name.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError("train_fraction must be in [0, 1]")
@@ -276,8 +276,10 @@ def load_csv(
                 f"(columns: {', '.join(header)})"
             )
         rows: list[list[float]] = []
+        blank_lines: list[int] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
+                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ValueError(
@@ -296,6 +298,16 @@ def load_csv(
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        r, c = bad[0]
+        line_no = int(r) + 2
+        for blank in blank_lines:  # a skipped line at or before it moves the row down
+            if blank > line_no:
+                break
+            line_no += 1
+        kind = "NaN" if np.isnan(table[r, c]) else "infinite"
+        raise ValueError(f"{path}: {kind} value at line {line_no}, column '{header[c]}'")
     if seed is not None:
         table = table[np.random.default_rng(seed).permutation(table.shape[0])]
     target_idx = header.index(target_column)

@@ -15,18 +15,11 @@ any error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import benchmarks
 from .complexity import MEASURES, RULE_TABLES
-from .harness import (
-    ExperimentConfig,
-    execute_experiment,
-    execute_run,
-    load_config,
-    write_front_csv,
-)
+from .harness import ExperimentConfig, execute_experiment, load_config
 from .metrics import accuracy_report
 from .sexpr import parse_sexpr
 from .trees import evaluate_matrix
@@ -117,20 +110,14 @@ def _config_from_args(args) -> ExperimentConfig:
         max_depth=args.max_depth,
         mutation_rate=args.mutation_rate,
         tournament_size=args.tournament_size,
+        repetitions=1,
         base_seed=args.seed,
         output_dir=args.out_dir,
     )
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    config.validate()
-    result = execute_run(config, args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_front_csv(result.front, os.path.join(args.out_dir, f"front_{args.seed}.csv"))
-    best_path = os.path.join(args.out_dir, f"best_{args.seed}.sexpr")
-    with open(best_path, "w") as handle:
-        handle.write(result.best.sexpr + "\n")
+    _, (result,) = execute_experiment(_config_from_args(args))
     print(f"evaluations: {result.eval_count}")
     print(f"front size:  {len(result.front)}")
     print(f"best model:  {result.best.sexpr}")

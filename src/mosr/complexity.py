@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes, length
+from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes
 
 _INF = float("inf")
 
@@ -195,10 +195,6 @@ def variable_count(tree: Node, distinct: bool = False) -> int:
     return sum(1 for n in iter_nodes(tree) if n.symbol == "var")
 
 
-def tree_length_measure(tree: Node) -> int:
-    return length(tree)
-
-
 def visitation_length(tree: Node) -> int:
     """Sum of subtree sizes over all nodes."""
     return sum(n.size for n in iter_nodes(tree))
@@ -214,7 +210,7 @@ def make_measure(
     if name == "variables":
         return lambda tree: float(variable_count(tree))
     if name == "tree_length":
-        return lambda tree: float(length(tree))
+        return lambda tree: float(tree.size)
     if name == "visitation_length":
         return lambda tree: float(visitation_length(tree))
     if name == "complexity":

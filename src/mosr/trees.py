@@ -4,6 +4,15 @@ A tree is represented by its root :class:`Node`.  Nodes are immutable after
 construction, so subtrees are shared freely between trees; crossover and
 mutation rebuild only the path from the root to the replaced subtree.
 
+Node positions are pre-order indices (root = 0).  :func:`iter_nodes` walks
+every node in that order; :func:`subtree_at` descends to one position
+through the cached subtree sizes and also reports its depth.  Length and
+depth are the cached ``Node.size`` and ``Node.height``.
+
+There is one evaluator: :func:`make_matrix_evaluator` prepares the columns
+of a matrix once and returns a callable that scores trees on them;
+:func:`evaluate_matrix` is that callable applied to a single tree.
+
 Function symbols:
 
 * ``add sub mul div`` take two or more children; evaluation folds the
@@ -20,12 +29,9 @@ to be penalised by the fitness function, not masked here.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-from .data import Dataset
 
 UNARY_SYMBOLS: tuple[str, ...] = ("sin", "cos", "tan", "exp", "log", "square", "sqrt")
 BINARY_SYMBOLS: tuple[str, ...] = ("add", "sub", "mul", "div")
@@ -113,16 +119,6 @@ def function(symbol: str, children: Sequence[Node]) -> Node:
     return Node(symbol, None, kids)
 
 
-def length(tree: Node) -> int:
-    """Total node count."""
-    return tree.size
-
-
-def depth(tree: Node) -> int:
-    """Longest root-to-leaf path, counted in nodes (single node = 1)."""
-    return tree.height
-
-
 def iter_nodes(tree: Node) -> Iterator[Node]:
     """Pre-order traversal of all nodes."""
     stack = [tree]
@@ -132,36 +128,22 @@ def iter_nodes(tree: Node) -> Iterator[Node]:
         stack.extend(reversed(node.children))
 
 
-def subtree_at(tree: Node, index: int) -> Node:
-    """Subtree rooted at pre-order position ``index`` (root = 0)."""
+def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
+    """Subtree rooted at pre-order position ``index`` (root = 0) and its
+    depth (root = 1)."""
     if not 0 <= index < tree.size:
         raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
     node = tree
+    depth = 1
     while index > 0:
         index -= 1
         for child in node.children:
             if index < child.size:
                 node = child
+                depth += 1
                 break
             index -= child.size
-    return node
-
-
-def node_depth_at(tree: Node, index: int) -> int:
-    """Depth (root = 1) of the node at pre-order position ``index``."""
-    if not 0 <= index < tree.size:
-        raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
-    node = tree
-    d = 1
-    while index > 0:
-        index -= 1
-        for child in node.children:
-            if index < child.size:
-                node = child
-                d += 1
-                break
-            index -= child.size
-    return d
+    return node, depth
 
 
 def replace_subtree(tree: Node, index: int, replacement: Node) -> Node:
@@ -229,20 +211,14 @@ def _eval(node: Node, cols: list[np.ndarray]):
     return _UNARY_IMPL[symbol](_eval(node.children[0], cols))
 
 
-def _finish_eval(tree: Node, out, n_rows: int) -> np.ndarray:
-    if np.ndim(out) == 0:
-        return np.full(n_rows, float(out))
-    out = np.asarray(out, dtype=float)
-    if tree.symbol == "var":
-        out = out.copy()  # never hand back a view into X
-    return out
-
-
 def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
-    """Prepared evaluator over fixed rows, for scoring many trees.
+    """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
 
-    Splits the columns of ``X`` once; the returned callable behaves exactly
-    like ``evaluate_matrix(tree, X)``.
+    Splits the columns of ``X`` once; the returned callable scores one tree
+    per call, one output per row.  It raises :class:`StructuralError` if
+    the tree references a variable index ``X`` does not have; numeric
+    trouble (division by zero, log of a non-positive, overflow) yields
+    non-finite values instead.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -257,36 +233,19 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
             )
         with np.errstate(all="ignore"):
             out = _eval(tree, cols)
-        return _finish_eval(tree, out, n_rows)
+        if np.ndim(out) == 0:
+            return np.full(n_rows, float(out))
+        out = np.asarray(out, dtype=float)
+        if tree.symbol == "var":
+            out = out.copy()  # never hand back a view into X
+        return out
 
     return evaluate_tree
 
 
 def evaluate_matrix(tree: Node, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``tree`` over the rows of matrix ``X`` (rows x variables)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-d (rows x variables)")
-    if tree.max_var >= X.shape[1]:
-        raise StructuralError(
-            f"tree uses variable x{tree.max_var} but data has {X.shape[1]} columns"
-        )
-    cols = [X[:, j] for j in range(X.shape[1])]
-    with np.errstate(all="ignore"):
-        out = _eval(tree, cols)
-    return _finish_eval(tree, out, X.shape[0])
-
-
-def evaluate(tree: Node, data: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate ``tree`` on ``data``, one output per selected row.
-
-    ``rows`` defaults to all rows.  Raises :class:`StructuralError` if the
-    tree references a variable index the dataset does not have; numeric
-    trouble (division by zero, log of a non-positive, overflow) yields
-    non-finite values instead.
-    """
-    X = data.columns if rows is None else data.columns[rows]
-    return evaluate_matrix(tree, X)
+    """Evaluate one tree over the rows of ``X``; see :func:`make_matrix_evaluator`."""
+    return make_matrix_evaluator(X)(tree)
 
 
 # --- random generation --------------------------------------------------
@@ -295,13 +254,6 @@ def _random_leaf(rng: np.random.Generator, n_variables: int) -> Node:
     if n_variables > 0 and rng.random() < 0.5:
         return variable(int(rng.integers(n_variables)))
     return constant(float(rng.uniform(CONSTANT_LOW, CONSTANT_HIGH)))
-
-
-def _freeze(proto) -> Node:
-    symbol, value, kids = proto
-    if not kids:
-        return Node(symbol, value, ())
-    return Node(symbol, value, tuple(_freeze(k) for k in kids))
 
 
 def random_tree(
@@ -330,54 +282,40 @@ def random_tree(
     if target == 1 or max_depth == 1 or not (unary or binary):
         return _random_leaf(rng, n_variables)
 
-    # proto node: [symbol, value, children list]; slots reference the parent
-    # child list so they can be filled in place.
-    holder = [None]
-    slots: deque = deque([(holder, 0, 1)])
+    # Slots are numbered in breadth-first order, which is also the order
+    # they are expanded in; an expansion's children are the next free slots.
+    nodes: list[Node | None] = [None]
+    depths = [1]
+    expansions: list[tuple[int, str, int, int]] = []  # (slot, symbol, children's slots)
     committed = 1
-    while slots and committed < target:
-        parent_kids, pos, d = slots.popleft()
+    slot = 0
+    while slot < len(nodes) and committed < target:
+        d = depths[slot]
         choices: list[str] = []
         if d < max_depth:
             if committed + 1 <= target:
                 choices.extend(unary)
             if committed + 2 <= target:
                 choices.extend(binary)
-        if not choices:
-            parent_kids[pos] = [*_leaf_proto(rng, n_variables)]
-            continue
-        symbol = choices[int(rng.integers(len(choices)))]
-        arity = 1 if symbol in UNARY_SYMBOLS else 2
-        kids = [None] * arity
-        parent_kids[pos] = [symbol, None, kids]
-        committed += arity
-        for k in range(arity):
-            slots.append((kids, k, d + 1))
-    while slots:
-        parent_kids, pos, _ = slots.popleft()
-        parent_kids[pos] = [*_leaf_proto(rng, n_variables)]
-    return _freeze(holder[0])
-
-
-def _leaf_proto(rng: np.random.Generator, n_variables: int):
-    leaf = _random_leaf(rng, n_variables)
-    return (leaf.symbol, leaf.value, [])
+        if choices:
+            symbol = choices[int(rng.integers(len(choices)))]
+            arity = 1 if symbol in UNARY_SYMBOLS else 2
+            expansions.append((slot, symbol, len(nodes), len(nodes) + arity))
+            committed += arity
+            nodes.extend([None] * arity)
+            depths.extend([d + 1] * arity)
+        else:
+            nodes[slot] = _random_leaf(rng, n_variables)
+        slot += 1
+    for leaf_slot in range(slot, len(nodes)):
+        nodes[leaf_slot] = _random_leaf(rng, n_variables)
+    # children sit in later slots, so building in reverse meets them first
+    for parent, symbol, start, stop in reversed(expansions):
+        nodes[parent] = Node(symbol, None, tuple(nodes[start:stop]))
+    return nodes[0]
 
 
 # --- variation operators ------------------------------------------------
-
-def _biased_cut_index(tree: Node, rng: np.random.Generator) -> int:
-    """Pre-order index of a crossover point, 90% biased to internal nodes."""
-    if tree.size == 1:
-        return 0
-    internal = []
-    leaves = []
-    for i, node in enumerate(iter_nodes(tree)):
-        (internal if node.children else leaves).append(i)
-    if internal and rng.random() < 0.9:
-        return internal[int(rng.integers(len(internal)))]
-    return leaves[int(rng.integers(len(leaves)))]
-
 
 def crossover(
     parent1: Node,
@@ -393,32 +331,40 @@ def crossover(
     ``max_length``; after that the unmodified ``parent1`` is returned
     (nodes are immutable, so sharing is safe).
     """
+    nodes = list(iter_nodes(parent1))
+    internal: list[int] = []
+    leaves: list[int] = []
+    for i, node in enumerate(nodes):
+        (internal if node.children else leaves).append(i)
     for _ in range(10):
-        cut = _biased_cut_index(parent1, rng)
-        removed = subtree_at(parent1, cut)
-        donor = subtree_at(parent2, int(rng.integers(parent2.size)))
-        if parent1.size - removed.size + donor.size <= max_length:
+        if internal and rng.random() < 0.9:
+            cut = internal[int(rng.integers(len(internal)))]
+        else:  # rng.integers(1) consumes no random bits: a leaf parent costs no draw
+            cut = leaves[int(rng.integers(len(leaves)))]
+        donor, _ = subtree_at(parent2, int(rng.integers(parent2.size)))
+        if parent1.size - nodes[cut].size + donor.size <= max_length:
             return replace_subtree(parent1, cut, donor)
     return parent1
 
 
-def _indices_of(tree: Node, kind: str) -> list[int]:
-    if kind == "function":
-        return [i for i, n in enumerate(iter_nodes(tree)) if n.children]
-    return [i for i, n in enumerate(iter_nodes(tree)) if n.symbol == kind]
+Site = tuple[int, Node]  # a node and its pre-order index
 
 
-def mutate_symbol(
-    tree: Node,
-    rng: np.random.Generator,
-    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
+def _sites(tree: Node) -> dict[str, list[Site]]:
+    """Function, constant and variable nodes of ``tree``, keyed ``"function"``,
+    ``"const"`` and ``"var"``, each in pre-order; one walk."""
+    sites: dict[str, list[Site]] = {"function": [], "const": [], "var": []}
+    for i, node in enumerate(iter_nodes(tree)):
+        sites["function" if node.children else node.symbol].append((i, node))
+    return sites
+
+
+def _swap_symbol(
+    tree: Node, rng: np.random.Generator, sites: list[Site], function_set: Sequence[str]
 ) -> Node:
-    """Swap one function node's symbol for a different same-arity symbol."""
-    candidates = _indices_of(tree, "function")
-    if not candidates:
+    if not sites:
         return tree
-    idx = candidates[int(rng.integers(len(candidates)))]
-    node = subtree_at(tree, idx)
+    idx, node = sites[int(rng.integers(len(sites)))]
     pool = UNARY_SYMBOLS if node.symbol in UNARY_SYMBOLS else BINARY_SYMBOLS
     options = [s for s in function_set if s in pool and s != node.symbol]
     if not options:
@@ -427,23 +373,19 @@ def mutate_symbol(
     return replace_subtree(tree, idx, Node(symbol, None, node.children))
 
 
-def mutate_constant(tree: Node, rng: np.random.Generator) -> Node:
-    """Additive N(0, 1) jitter on one uniformly chosen constant."""
-    candidates = _indices_of(tree, "const")
-    if not candidates:
+def _jitter_constant(tree: Node, rng: np.random.Generator, sites: list[Site]) -> Node:
+    if not sites:
         return tree
-    idx = candidates[int(rng.integers(len(candidates)))]
-    node = subtree_at(tree, idx)
+    idx, node = sites[int(rng.integers(len(sites)))]
     return replace_subtree(tree, idx, constant(node.value + rng.normal(0.0, 1.0)))
 
 
-def mutate_variable(tree: Node, rng: np.random.Generator, n_variables: int) -> Node:
-    """Reassign one uniformly chosen variable node to a different index."""
-    candidates = _indices_of(tree, "var")
-    if not candidates:
+def _swap_variable(
+    tree: Node, rng: np.random.Generator, sites: list[Site], n_variables: int
+) -> Node:
+    if not sites:
         return tree
-    idx = candidates[int(rng.integers(len(candidates)))]
-    node = subtree_at(tree, idx)
+    idx, node = sites[int(rng.integers(len(sites)))]
     if n_variables > 1:
         new_index = int(rng.integers(n_variables - 1))
         if new_index >= node.value:
@@ -451,6 +393,25 @@ def mutate_variable(tree: Node, rng: np.random.Generator, n_variables: int) -> N
     else:
         new_index = node.value
     return replace_subtree(tree, idx, variable(new_index))
+
+
+def mutate_symbol(
+    tree: Node,
+    rng: np.random.Generator,
+    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
+) -> Node:
+    """Swap one function node's symbol for a different same-arity symbol."""
+    return _swap_symbol(tree, rng, _sites(tree)["function"], function_set)
+
+
+def mutate_constant(tree: Node, rng: np.random.Generator) -> Node:
+    """Additive N(0, 1) jitter on one uniformly chosen constant."""
+    return _jitter_constant(tree, rng, _sites(tree)["const"])
+
+
+def mutate_variable(tree: Node, rng: np.random.Generator, n_variables: int) -> Node:
+    """Reassign one uniformly chosen variable node to a different index."""
+    return _swap_variable(tree, rng, _sites(tree)["var"], n_variables)
 
 
 def mutate_subtree(
@@ -464,8 +425,7 @@ def mutate_subtree(
     """Replace one uniformly chosen subtree with a fresh random tree whose
     length and depth budgets keep the whole tree inside both caps."""
     idx = int(rng.integers(tree.size))
-    old = subtree_at(tree, idx)
-    at_depth = node_depth_at(tree, idx)
+    old, at_depth = subtree_at(tree, idx)
     budget_length = max(1, max_length - tree.size + old.size)
     budget_depth = max(1, max_depth - at_depth + 1)
     fresh = random_tree(rng, function_set, n_variables, budget_length, budget_depth)
@@ -488,18 +448,13 @@ def mutate(
     both caps.  Modes whose node kind is absent from the tree are excluded
     from the draw; (d) always applies.
     """
-    modes = ["subtree"]
-    if _indices_of(tree, "function"):
-        modes.append("symbol")
-    if _indices_of(tree, "const"):
-        modes.append("jitter")
-    if _indices_of(tree, "var"):
-        modes.append("swap_var")
+    sites = _sites(tree)
+    modes = ["subtree"] + [kind for kind in ("function", "const", "var") if sites[kind]]
     mode = modes[int(rng.integers(len(modes)))]
-    if mode == "symbol":
-        return mutate_symbol(tree, rng, function_set)
-    if mode == "jitter":
-        return mutate_constant(tree, rng)
-    if mode == "swap_var":
-        return mutate_variable(tree, rng, n_variables)
+    if mode == "function":
+        return _swap_symbol(tree, rng, sites[mode], function_set)
+    if mode == "const":
+        return _jitter_constant(tree, rng, sites[mode])
+    if mode == "var":
+        return _swap_variable(tree, rng, sites[mode], n_variables)
     return mutate_subtree(tree, rng, n_variables, max_length, max_depth, function_set)

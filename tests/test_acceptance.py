@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line printed each.
 
 Criteria 5 and 6 run real evolution at desk scale and dominate the suite's
-runtime (several minutes); everything else is fast.  Criterion 6 is
-informative only: it reports the directional comparison without gating.
+runtime (several minutes); everything else is fast.  They and criterion 7,
+which checks criterion 5's fronts, carry the ``slow`` marker.  Criterion 6
+is informative only: it reports the directional comparison without gating.
 """
 
 import math
@@ -16,8 +17,8 @@ from mosr.benchmarks import generate
 from mosr.complexity import (
     default_rule_table,
     figure_consistent_rule_table,
+    make_measure,
     recursive_complexity,
-    tree_length_measure,
 )
 from mosr.harness import ExperimentConfig, execute_experiment
 from mosr.metrics import fit_linear_scaling, nmse, pearson_r2, scaled_nmse
@@ -29,7 +30,7 @@ from mosr.nsga2 import (
     run,
 )
 from mosr.sexpr import parse_sexpr
-from mosr.trees import crossover, length, make_matrix_evaluator, mutate, random_tree
+from mosr.trees import crossover, make_matrix_evaluator, mutate, random_tree
 
 F1 = "(exp (sin (sqrt x0)))"
 F2 = "(+ (* 7 (square x0)) (* 3 x0) 5)"
@@ -44,8 +45,9 @@ def _report(n: int, text: str) -> None:
 def test_criterion_1_complexity_fixtures():
     f1 = parse_sexpr(F1)
     f2 = parse_sexpr(F2)
-    assert tree_length_measure(f1) == 4
-    assert tree_length_measure(f2) == 9
+    tree_length = make_measure("tree_length")
+    assert tree_length(f1) == 4
+    assert tree_length(f2) == 9
     figure = figure_consistent_rule_table()
     assert recursive_complexity(f1, figure) == 65536.0
     assert recursive_complexity(f2, figure) == 17.0
@@ -123,7 +125,7 @@ def test_criterion_4_cap_and_budget():
         child = crossover(pool[i], pool[j], rng, max_length=100)
         if rng.random() < 0.5:
             child = mutate(child, rng, n_variables=3, max_length=100, max_depth=17)
-        assert length(child) <= 100
+        assert child.size <= 100
         pool[int(rng.integers(len(pool)))] = child
 
     # reduced-budget exactness: pop 500 / budget 10,000 -> exactly 10,000
@@ -172,6 +174,7 @@ def smoke_experiments(tmp_path_factory):
     return outcomes
 
 
+@pytest.mark.slow
 def test_criterion_5_smoke_experiment(smoke_experiments):
     for objective2, (stats, results, _) in smoke_experiments.items():
         values = sorted(r.best.train_nmse for r in results)
@@ -185,6 +188,7 @@ def test_criterion_5_smoke_experiment(smoke_experiments):
     _report(5, "keijzer5 smoke: median best train NMSE <= 0.05 for both objectives")
 
 
+@pytest.mark.slow
 def test_criterion_7_pareto_export_property(smoke_experiments):
     checked = 0
     for objective2, (_, results, out_dir) in smoke_experiments.items():
@@ -232,6 +236,7 @@ def test_criterion_8_reproducibility(tmp_path):
     _report(8, f"byte-identical artifacts across re-executions ({len(names)} files)")
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_check_informative(tmp_path):
     """Non-gating: report poly10 full-budget means for two measures."""
     reference = {"complexity": "0.202 +/- 0.079", "tree_length": "0.356 +/- 0.165"}

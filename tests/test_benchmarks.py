@@ -180,6 +180,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3, column 'b'"):
             load_csv(str(path), "y", train_fraction=0.5)
 
+    def test_nan_target_reports_row_and_column(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        # the blank line still counts, so the NaN sits on file line 4
+        path.write_text("a,b,y\n1,2,3\n\n4,5,nan\n7,8,9\n")
+        with pytest.raises(ValueError, match=r"nan\.csv: NaN value at line 4, column 'y'"):
+            load_csv(str(path), "y", train_fraction=0.5)
+
+    def test_infinite_input_reports_row_and_column(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("a,b,y\n1,2,3\n4,-inf,nan\n")
+        # the first bad cell in file order is reported
+        with pytest.raises(ValueError, match="infinite value at line 3, column 'b'"):
+            load_csv(str(path), "y", train_fraction=0.5)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

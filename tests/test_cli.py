@@ -38,11 +38,36 @@ def test_run_writes_artifacts(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert os.path.exists(os.path.join(out_dir, "front_1.csv"))
-    assert os.path.exists(os.path.join(out_dir, "best_1.sexpr"))
+    assert sorted(os.listdir(out_dir)) == [
+        "aggregate.csv", "best_1.sexpr", "front_1.csv", "runs.csv"
+    ]
+    runs = open(os.path.join(out_dir, "runs.csv")).read().splitlines()
+    assert len(runs) == 2 and runs[1].startswith("1,")
+    assert open(os.path.join(out_dir, "aggregate.csv")).read().splitlines()[1].startswith(
+        "keijzer5,variables,1,"
+    )
     out = capsys.readouterr().out
     assert "train nmse" in out
     assert "evaluations: 60" in out
+
+
+def test_run_rejects_nan_target(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text("x1,y\n1,2\n2,nan\n3,6\n4,8\n")
+    code = main(
+        [
+            "run",
+            "--data", str(data),
+            "--target", "y",
+            "--pop", "12",
+            "--evals", "60",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "NaN value at line 3, column 'y'" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_eval_scores_saved_model(tmp_path, capsys):

@@ -12,7 +12,6 @@ from mosr.complexity import (
     make_measure,
     recursive_complexity,
     rule_from_string,
-    tree_length_measure,
     variable_count,
     visitation_length,
 )
@@ -35,9 +34,10 @@ class TestCounts:
         assert variable_count(tree, distinct=True) == 2
 
     def test_tree_length_measure(self):
-        assert tree_length_measure(parse_sexpr(F1)) == 4
-        assert tree_length_measure(parse_sexpr(F2)) == 9
-        assert tree_length_measure(constant(0.0)) == 1
+        tree_length = make_measure("tree_length")
+        assert tree_length(parse_sexpr(F1)) == 4
+        assert tree_length(parse_sexpr(F2)) == 9
+        assert tree_length(constant(0.0)) == 1
 
     def test_visitation_length(self):
         assert visitation_length(constant(1.0)) == 1
@@ -130,7 +130,7 @@ class TestInvariantRelations:
         rng = np.random.default_rng(5)
         for _ in range(200):
             tree = random_tree(rng, n_variables=2, max_length=30)
-            v, n = visitation_length(tree), tree_length_measure(tree)
+            v, n = visitation_length(tree), tree.size
             assert v >= n
             assert (v == n) == (n == 1)
 
@@ -138,7 +138,7 @@ class TestInvariantRelations:
         rng = np.random.default_rng(6)
         for _ in range(200):
             tree = random_tree(rng, n_variables=2, max_length=30)
-            assert variable_count(tree) <= tree_length_measure(tree)
+            assert variable_count(tree) <= tree.size
 
 
 class TestRuleConfig:

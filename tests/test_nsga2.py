@@ -15,7 +15,7 @@ from mosr.nsga2 import (
     run,
     tournament_select,
 )
-from mosr.trees import constant, length
+from mosr.trees import constant
 
 
 def ind(*objectives) -> Individual:
@@ -268,7 +268,7 @@ class TestRun:
         lengths = []
 
         def watch(gen, pop, evals):
-            lengths.extend(length(i.tree) for i in pop)
+            lengths.extend(i.tree.size for i in pop)
 
         config = EngineConfig(
             population_size=16, max_evaluations=160, max_length=25, seed=5

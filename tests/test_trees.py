@@ -4,89 +4,78 @@ import numpy as np
 import pytest
 
 from mosr import trees
-from mosr.data import Dataset
 from mosr.sexpr import parse_sexpr, to_sexpr
 from mosr.trees import (
     DEFAULT_FUNCTION_SET,
     StructuralError,
     constant,
     crossover,
-    depth,
-    evaluate,
     evaluate_matrix,
     function,
-    length,
     mutate,
     random_tree,
     variable,
 )
 
 
-def _dataset(values):
-    X = np.asarray(values, dtype=float).reshape(len(values), -1)
-    return Dataset(
-        variable_names=tuple(f"x{i + 1}" for i in range(X.shape[1])),
-        columns=X,
-        target=np.zeros(X.shape[0]),
-        train_rows=np.arange(X.shape[0]),
-        test_rows=np.array([], dtype=int),
-    )
+def _columns(values):
+    return np.asarray(values, dtype=float).reshape(len(values), -1)
 
 
 class TestEvaluate:
     def test_doubling(self):
         tree = parse_sexpr("(+ x0 x0)")
-        out = evaluate(tree, _dataset([3.0]))
+        out = evaluate_matrix(tree, _columns([3.0]))
         assert out.tolist() == [6.0]
 
     def test_division_by_zero_is_nonfinite(self):
         tree = parse_sexpr("(div 1 x0)")
-        out = evaluate(tree, _dataset([0.0]))
+        out = evaluate_matrix(tree, _columns([0.0]))
         assert not np.isfinite(out[0])
 
     def test_polynomial_by_hand(self):
         # 7*2^2 + 3*2 + 5 = 39
         tree = parse_sexpr("(+ (* 7 (square x0)) (* 3 x0) 5)")
-        out = evaluate(tree, _dataset([2.0]))
+        out = evaluate_matrix(tree, _columns([2.0]))
         assert out.tolist() == [39.0]
 
     def test_nary_fold_is_left_to_right(self):
-        assert evaluate(parse_sexpr("(- 10 1 2)"), _dataset([0.0]))[0] == 7.0
-        assert evaluate(parse_sexpr("(div 24 2 3)"), _dataset([0.0]))[0] == 4.0
+        assert evaluate_matrix(parse_sexpr("(- 10 1 2)"), _columns([0.0]))[0] == 7.0
+        assert evaluate_matrix(parse_sexpr("(div 24 2 3)"), _columns([0.0]))[0] == 4.0
 
     def test_log_of_nonpositive_is_nan(self):
         tree = parse_sexpr("(log x0)")
-        out = evaluate(tree, _dataset([-1.0, 0.0, math.e]))
+        out = evaluate_matrix(tree, _columns([-1.0, 0.0, math.e]))
         assert math.isnan(out[0])
         assert math.isnan(out[1])
         assert out[2] == pytest.approx(1.0)
 
     def test_sqrt_of_negative_is_nan(self):
-        out = evaluate(parse_sexpr("(sqrt x0)"), _dataset([-4.0, 4.0]))
+        out = evaluate_matrix(parse_sexpr("(sqrt x0)"), _columns([-4.0, 4.0]))
         assert math.isnan(out[0])
         assert out[1] == 2.0
 
     def test_nonfinite_propagates(self):
         tree = parse_sexpr("(+ (div 1 x0) 1)")
-        out = evaluate(tree, _dataset([0.0]))
+        out = evaluate_matrix(tree, _columns([0.0]))
         assert not np.isfinite(out[0])
 
     def test_variable_out_of_range_is_structural_error(self):
         with pytest.raises(StructuralError):
-            evaluate(parse_sexpr("(+ x0 x5)"), _dataset([1.0]))
+            evaluate_matrix(parse_sexpr("(+ x0 x5)"), _columns([1.0]))
 
     def test_rows_selection(self):
         tree = parse_sexpr("(* x0 2)")
-        data = _dataset([1.0, 2.0, 3.0])
-        out = evaluate(tree, data, rows=np.array([2, 0]))
+        X = _columns([1.0, 2.0, 3.0])
+        out = evaluate_matrix(tree, X[np.array([2, 0])])
         assert out.tolist() == [6.0, 2.0]
 
     def test_purity_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        data = _dataset(rng.normal(size=50))
+        X = _columns(rng.normal(size=50))
         tree = random_tree(np.random.default_rng(3), n_variables=1)
-        a = evaluate(tree, data)
-        b = evaluate(tree, data)
+        a = evaluate_matrix(tree, X)
+        b = evaluate_matrix(tree, X)
         assert a.tobytes() == b.tobytes()
 
     def test_semantic_sanity_polynomial(self):
@@ -100,14 +89,14 @@ class TestEvaluate:
 
 class TestShape:
     def test_length_examples(self):
-        assert length(parse_sexpr("(exp (sin (sqrt x0)))")) == 4
-        assert length(parse_sexpr("(+ (* 7 (square x0)) (* 3 x0) 5)")) == 9
-        assert length(constant(3.0)) == 1
+        assert parse_sexpr("(exp (sin (sqrt x0)))").size == 4
+        assert parse_sexpr("(+ (* 7 (square x0)) (* 3 x0) 5)").size == 9
+        assert constant(3.0).size == 1
 
     def test_depth_examples(self):
-        assert depth(constant(1.0)) == 1
-        assert depth(parse_sexpr("(sin x0)")) == 2
-        assert depth(parse_sexpr("(exp (sin (sqrt x0)))")) == 4
+        assert constant(1.0).height == 1
+        assert parse_sexpr("(sin x0)").height == 2
+        assert parse_sexpr("(exp (sin (sqrt x0)))").height == 4
 
     def test_structural_equality(self):
         a = parse_sexpr("(+ x0 1)")
@@ -126,11 +115,11 @@ class TestShape:
 
     def test_subtree_navigation(self):
         tree = parse_sexpr("(+ (* 7 (square x0)) (* 3 x0) 5)")
-        assert to_sexpr(trees.subtree_at(tree, 0)) == to_sexpr(tree)
-        assert to_sexpr(trees.subtree_at(tree, 1)) == "(* 7 (square x0))"
-        assert to_sexpr(trees.subtree_at(tree, 8)) == "5"
-        assert trees.node_depth_at(tree, 0) == 1
-        assert trees.node_depth_at(tree, 4) == 4  # the x0 inside square
+        assert to_sexpr(trees.subtree_at(tree, 0)[0]) == to_sexpr(tree)
+        assert to_sexpr(trees.subtree_at(tree, 1)[0]) == "(* 7 (square x0))"
+        assert to_sexpr(trees.subtree_at(tree, 8)[0]) == "5"
+        assert trees.subtree_at(tree, 0)[1] == 1
+        assert trees.subtree_at(tree, 4)[1] == 4  # the x0 inside square
 
     def test_replace_subtree_shares_structure(self):
         tree = parse_sexpr("(+ (sin x0) (cos x1))")
@@ -144,14 +133,14 @@ class TestShape:
 class TestRandomTree:
     def test_forced_single_leaf(self):
         tree = random_tree(np.random.default_rng(0), max_length=1, n_variables=2)
-        assert length(tree) == 1
+        assert tree.size == 1
 
     def test_caps_hold_over_many_draws(self):
         rng = np.random.default_rng(42)
         for _ in range(2000):
             tree = random_tree(rng, n_variables=3, max_length=30, max_depth=6)
-            assert 1 <= length(tree) <= 30
-            assert depth(tree) <= 6
+            assert 1 <= tree.size <= 30
+            assert tree.height <= 6
 
     def test_deterministic_per_seed(self):
         a = random_tree(np.random.default_rng(123), n_variables=4)
@@ -168,7 +157,7 @@ class TestRandomTree:
 
     def test_lengths_spread_across_range(self):
         rng = np.random.default_rng(11)
-        sizes = {length(random_tree(rng, n_variables=2, max_length=25)) for _ in range(500)}
+        sizes = {random_tree(rng, n_variables=2, max_length=25).size for _ in range(500)}
         assert len(sizes) > 15  # targets are drawn uniformly, not collapsed
 
     def test_no_variables_means_constant_leaves(self):
@@ -181,7 +170,7 @@ class TestRandomTree:
 class TestCrossover:
     def test_leaf_parents_yield_leaf(self):
         child = crossover(constant(1.0), constant(2.0), np.random.default_rng(0))
-        assert length(child) == 1
+        assert child.size == 1
 
     def test_cap_holds_over_many_ops(self):
         rng = np.random.default_rng(99)
@@ -189,7 +178,7 @@ class TestCrossover:
         for _ in range(3000):
             i, j = rng.integers(len(parents), size=2)
             child = crossover(parents[i], parents[j], rng, max_length=100)
-            assert length(child) <= 100
+            assert child.size <= 100
 
     def test_deterministic_per_seed(self):
         p1 = random_tree(np.random.default_rng(1), n_variables=2)
@@ -214,7 +203,7 @@ class TestCrossover:
         child = crossover(p1, p2, np.random.default_rng(4), max_length=2)
         # no replacement can fit in a cap below the parent's own length
         # unless the donor shrinks the tree; either way the cap holds
-        assert length(child) <= max(length(p1), 2)
+        assert child.size <= max(p1.size, 2)
 
 
 class TestMutate:
@@ -224,7 +213,7 @@ class TestMutate:
         rng = np.random.default_rng(0)
         for _ in range(200):
             out = trees.mutate_symbol(tree, rng)
-            assert length(out) == 2
+            assert out.size == 2
             assert out.children[0].symbol == "var"
             seen.add(out.symbol)
         assert seen == {"cos", "tan", "exp", "log", "square", "sqrt"}
@@ -257,8 +246,8 @@ class TestMutate:
         tree = random_tree(rng, n_variables=3, max_length=100)
         for _ in range(3000):
             tree = mutate(tree, rng, n_variables=3, max_length=100, max_depth=17)
-            assert length(tree) <= 100
-            assert depth(tree) <= 17
+            assert tree.size <= 100
+            assert tree.height <= 17
 
     def test_deterministic_per_seed(self):
         tree = random_tree(np.random.default_rng(6), n_variables=2)
