@@ -248,18 +248,12 @@ def generate(spec: ProblemSpec | str, seed: int) -> Dataset:
 
 # --- CSV I/O --------------------------------------------------------------
 
-def load_csv(
-    path: str,
-    target_column: str,
-    train_fraction: float,
-    seed: int | None = None,
-) -> Dataset:
+def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
     """Load a header-bearing numeric CSV; the named column is the target.
 
-    The leading ``train_fraction`` of rows becomes the training partition
-    (no shuffling unless ``seed`` is given, in which case rows are permuted
-    deterministically first).  Parse failures and non-finite values (NaN,
-    inf) report file line and column name.
+    The leading ``train_fraction`` of rows, in file order, becomes the
+    training partition.  Parse failures and non-finite values (NaN, inf)
+    report file line and column name.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError("train_fraction must be in [0, 1]")
@@ -308,8 +302,6 @@ def load_csv(
             line_no += 1
         kind = "NaN" if np.isnan(table[r, c]) else "infinite"
         raise ValueError(f"{path}: {kind} value at line {line_no}, column '{header[c]}'")
-    if seed is not None:
-        table = table[np.random.default_rng(seed).permutation(table.shape[0])]
     target_idx = header.index(target_column)
     keep = [i for i in range(len(header)) if i != target_idx]
     n = table.shape[0]

@@ -41,10 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--variant", default="", help="'literature' for friedman1")
 
     run_p = sub.add_parser("run", help="one evolution run")
-    _add_problem_flags(run_p)
-    _add_engine_flags(run_p)
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--out-dir", required=True)
+    _add_run_flags(run_p)
 
     exp = sub.add_parser("experiment", help="seeded repetitions from a config file")
     exp.add_argument("--config", required=True, help="key = value config file")
@@ -58,23 +55,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="", choices=("",) + benchmarks.PROBLEM_NAMES)
-    p.add_argument("--variant", default="", help="'literature' for friedman1")
-    p.add_argument("--data", default="", help="CSV dataset instead of a benchmark")
-    p.add_argument("--target", default="", help="target column for --data")
-    p.add_argument("--train-fraction", type=float, default=0.75)
+# ExperimentConfig fields that ``mosr run`` flags set; each flag's dest is
+# its field and its default is the field's default.
+_RUN_FIELDS = (
+    "problem", "variant", "data_path", "target", "train_fraction", "objective2", "rules",
+    "population_size", "max_evaluations", "max_length", "max_depth", "mutation_rate",
+    "tournament_size", "base_seed", "output_dir",
+)
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--objective2", default="tree_length", choices=MEASURES)
-    p.add_argument("--rules", default="eq1", choices=tuple(RULE_TABLES))
-    p.add_argument("--pop", type=int, default=500, dest="population_size")
-    p.add_argument("--evals", type=int, default=200_000, dest="max_evaluations")
-    p.add_argument("--max-length", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=17)
-    p.add_argument("--mutation-rate", type=float, default=0.25)
-    p.add_argument("--tournament-size", type=int, default=2)
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--problem", choices=("",) + benchmarks.PROBLEM_NAMES)
+    p.add_argument("--variant", help="'literature' for friedman1")
+    p.add_argument("--data", dest="data_path", help="CSV dataset instead of a benchmark")
+    p.add_argument("--target", help="target column for --data")
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--objective2", choices=MEASURES)
+    p.add_argument("--rules", choices=tuple(RULE_TABLES))
+    p.add_argument("--pop", type=int, dest="population_size")
+    p.add_argument("--evals", type=int, dest="max_evaluations")
+    p.add_argument("--max-length", type=int)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--mutation-rate", type=float)
+    p.add_argument("--tournament-size", type=int)
+    p.add_argument("--seed", type=int, dest="base_seed")
+    p.add_argument("--out-dir", required=True, dest="output_dir")
+    defaults = ExperimentConfig()
+    p.set_defaults(**{name: getattr(defaults, name) for name in _RUN_FIELDS})
 
 
 def _cmd_problems(_args) -> int:
@@ -95,29 +102,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=args.problem,
-        variant=args.variant,
-        data_path=args.data,
-        target=args.target,
-        train_fraction=args.train_fraction,
-        objective2=args.objective2,
-        rules=args.rules,
-        population_size=args.population_size,
-        max_evaluations=args.max_evaluations,
-        max_length=args.max_length,
-        max_depth=args.max_depth,
-        mutation_rate=args.mutation_rate,
-        tournament_size=args.tournament_size,
-        repetitions=1,
-        base_seed=args.seed,
-        output_dir=args.out_dir,
-    )
-
-
 def _cmd_run(args) -> int:
-    _, (result,) = execute_experiment(_config_from_args(args))
+    config = ExperimentConfig(**{name: getattr(args, name) for name in _RUN_FIELDS})
+    _, (result,) = execute_experiment(config)
     print(f"evaluations: {result.eval_count}")
     print(f"front size:  {len(result.front)}")
     print(f"best model:  {result.best.sexpr}")

@@ -2,8 +2,7 @@
 
 Four measures are provided, all minimized:
 
-* ``variables``: number of variable-node occurrences (``distinct=True``
-  counts distinct indices instead),
+* ``variables``: number of variable-node occurrences,
 * ``tree_length``: total node count,
 * ``visitation_length``: sum over all nodes of the size of the subtree
   rooted there (a.k.a. expressional complexity),
@@ -32,10 +31,12 @@ from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes
 _INF = float("inf")
 
 RULE_KINDS = ("sum", "product_plus_one", "product_of_incremented", "power", "exponential")
+_UNARY_KINDS = ("power", "exponential")  # one child, one parameter
 
 
 class RuleTableError(ValueError):
-    """Rule table does not cover the tree being measured."""
+    """Malformed rule or rule table, or a table that does not cover the
+    tree being measured."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Rule:
         if self.kind not in RULE_KINDS:
             raise RuleTableError(f"unknown rule kind '{self.kind}'")
 
-    def apply(self, child_values: list[float], symbol: str) -> float:
+    def apply(self, child_values: list[float]) -> float:
         if self.kind == "sum":
             total = 0.0
             for v in child_values:
@@ -73,17 +74,13 @@ class Rule:
             for v in child_values:
                 product *= v + 1.0
             return product
-        if len(child_values) != 1:
-            raise RuleTableError(
-                f"rule '{self.kind}' for symbol '{symbol}' requires exactly one child"
-            )
         if self.kind == "power":
             return _saturating_pow(child_values[0], self.parameter)
         return _saturating_pow(self.parameter, child_values[0])
 
     def spec(self) -> str:
         """Config-file form, e.g. ``power:2``."""
-        if self.kind in ("power", "exponential"):
+        if self.kind in _UNARY_KINDS:
             return f"{self.kind}:{format(self.parameter, 'g')}"
         return self.kind
 
@@ -99,7 +96,7 @@ def rule_from_string(text: str) -> Rule:
     """Parse ``kind`` or ``kind:parameter`` (e.g. ``power:3``)."""
     kind, sep, param = text.partition(":")
     kind = kind.strip()
-    if kind in ("power", "exponential"):
+    if kind in _UNARY_KINDS:
         if not sep:
             raise RuleTableError(f"rule '{kind}' needs a parameter, e.g. '{kind}:2'")
         try:
@@ -113,7 +110,12 @@ def rule_from_string(text: str) -> Rule:
 
 @dataclass(frozen=True)
 class ComplexityRuleTable:
-    """Leaf values plus one rule per function symbol."""
+    """Leaf values plus one rule per function symbol.
+
+    Construction rejects leaf values below 1, rules for unknown symbols and
+    the one-child kinds (``power``, ``exponential``) on n-ary symbols, so a
+    table that builds can measure any tree its rules cover.
+    """
 
     rules: Mapping[str, Rule]
     constant_value: float = 1.0
@@ -122,6 +124,14 @@ class ComplexityRuleTable:
     def __post_init__(self):
         if self.constant_value < 1.0 or self.variable_value < 1.0:
             raise RuleTableError("leaf complexity values must be >= 1")
+        for symbol, rule in self.rules.items():
+            if symbol in BINARY_SYMBOLS:
+                if rule.kind in _UNARY_KINDS:
+                    raise RuleTableError(
+                        f"rule '{rule.kind}' takes one child; '{symbol}' takes two or more"
+                    )
+            elif symbol not in UNARY_SYMBOLS:
+                raise RuleTableError(f"unknown function symbol '{symbol}'")
 
     def rule_for(self, symbol: str) -> Rule:
         rule = self.rules.get(symbol)
@@ -185,13 +195,11 @@ def recursive_complexity(tree: Node, rules: ComplexityRuleTable) -> float:
     if tree.symbol == "var":
         return rules.variable_value
     values = [recursive_complexity(c, rules) for c in tree.children]
-    return rules.rule_for(tree.symbol).apply(values, tree.symbol)
+    return rules.rule_for(tree.symbol).apply(values)
 
 
-def variable_count(tree: Node, distinct: bool = False) -> int:
-    """Variable-node occurrences (or distinct indices with ``distinct``)."""
-    if distinct:
-        return len({n.value for n in iter_nodes(tree) if n.symbol == "var"})
+def variable_count(tree: Node) -> int:
+    """Variable-node occurrences."""
     return sum(1 for n in iter_nodes(tree) if n.symbol == "var")
 
 

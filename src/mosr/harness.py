@@ -49,6 +49,9 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, bad value, missing data)."""
 
 
+_ENGINE = EngineConfig()  # the engine settings' defaults
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = ""
@@ -59,12 +62,12 @@ class ExperimentConfig:
     objective2: str = "tree_length"
     rules: str = "eq1"
     rule_overrides: dict[str, str] = field(default_factory=dict)
-    population_size: int = 500
-    max_evaluations: int = 200_000
-    max_length: int = 100
-    max_depth: int = 17
-    mutation_rate: float = 0.25
-    tournament_size: int = 2
+    population_size: int = _ENGINE.population_size
+    max_evaluations: int = _ENGINE.max_evaluations
+    max_length: int = _ENGINE.max_length
+    max_depth: int = _ENGINE.max_depth
+    mutation_rate: float = _ENGINE.mutation_rate
+    tournament_size: int = _ENGINE.tournament_size
     repetitions: int = 1
     base_seed: int = 0
     jobs: int = 1
@@ -92,7 +95,23 @@ class ExperimentConfig:
             raise ConfigError("validation_fraction must be in [0, 1)")
         if self.problem:
             benchmarks.get_problem(self.problem, self.variant)
-        self.rule_table()  # surfaces bad rule.* overrides up front
+        self.engine_config(self.base_seed)
+        self.rule_table()
+
+    def engine_config(self, seed: int) -> EngineConfig:
+        """The engine settings of the run with ``seed``."""
+        try:
+            return EngineConfig(
+                population_size=self.population_size,
+                max_evaluations=self.max_evaluations,
+                max_length=self.max_length,
+                mutation_rate=self.mutation_rate,
+                tournament_size=self.tournament_size,
+                seed=seed,
+                max_depth=self.max_depth,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def rule_table(self) -> ComplexityRuleTable:
         table = RULE_TABLES[self.rules]()
@@ -110,7 +129,10 @@ class ExperimentConfig:
                     rules[symbol] = rule_from_string(text)
             except ValueError as exc:
                 raise ConfigError(f"bad rule.{symbol} = {text}: {exc}") from None
-        return table.with_overrides(rules, constant_value, variable_value)
+        try:
+            return table.with_overrides(rules, constant_value, variable_value)
+        except ValueError as exc:
+            raise ConfigError(f"bad rule.* override: {exc}") from None
 
     def label(self) -> str:
         if self.problem:
@@ -305,16 +327,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         def objective(tree) -> tuple[float, float]:
             return 1.0 - pearson_r2(evaluate_fit(tree), y_fit), measure(tree)
 
-        engine = EngineConfig(
-            population_size=config.population_size,
-            max_evaluations=config.max_evaluations,
-            max_length=config.max_length,
-            mutation_rate=config.mutation_rate,
-            tournament_size=config.tournament_size,
-            seed=seed,
-            max_depth=config.max_depth,
-        )
-        population, eval_count = run(engine, objective, dataset.n_variables)
+        population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
         front = pareto_front(population)
         models = _front_models(front, X_fit, y_fit, dataset.X_test, dataset.y_test)
         if val_rows.size:

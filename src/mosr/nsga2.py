@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .trees import (
-    DEFAULT_FUNCTION_SET,
     DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_LENGTH,
     Node,
     crossover,
     mutate,
@@ -47,12 +47,11 @@ class Individual:
 class EngineConfig:
     population_size: int = 500
     max_evaluations: int = 200_000
-    max_length: int = 100
+    max_length: int = DEFAULT_MAX_LENGTH
     mutation_rate: float = 0.25
     tournament_size: int = 2
     seed: int = 0
     max_depth: int = DEFAULT_MAX_DEPTH
-    function_set: tuple[str, ...] = DEFAULT_FUNCTION_SET
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -63,6 +62,10 @@ class EngineConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
+        if self.max_length < 1:
+            raise ValueError("max_length must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -269,13 +272,7 @@ def run(
     rng = np.random.default_rng(config.seed)
     population = [
         _evaluate(
-            random_tree(
-                rng,
-                config.function_set,
-                n_variables,
-                config.max_length,
-                config.max_depth,
-            ),
+            random_tree(rng, n_variables, config.max_length, config.max_depth),
             objective_fn,
         )
         for _ in range(config.population_size)
@@ -292,14 +289,7 @@ def run(
             p2 = tournament_select(population, rng, config.tournament_size)
             child = crossover(p1.tree, p2.tree, rng, config.max_length)
             if rng.random() < config.mutation_rate:
-                child = mutate(
-                    child,
-                    rng,
-                    n_variables,
-                    config.max_length,
-                    config.max_depth,
-                    config.function_set,
-                )
+                child = mutate(child, rng, n_variables, config.max_length, config.max_depth)
             offspring.append(_evaluate(child, objective_fn))
             evaluations += 1
         population = _environmental_selection(population + offspring, config.population_size)

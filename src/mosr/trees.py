@@ -35,7 +35,6 @@ import numpy as np
 
 UNARY_SYMBOLS: tuple[str, ...] = ("sin", "cos", "tan", "exp", "log", "square", "sqrt")
 BINARY_SYMBOLS: tuple[str, ...] = ("add", "sub", "mul", "div")
-DEFAULT_FUNCTION_SET: tuple[str, ...] = BINARY_SYMBOLS + UNARY_SYMBOLS
 
 CONSTANT_LOW = -20.0
 CONSTANT_HIGH = 20.0
@@ -72,10 +71,6 @@ class Node:
             self.size = 1
             self.height = 1
             self.max_var = value if symbol == "var" else -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Node):
@@ -258,7 +253,6 @@ def _random_leaf(rng: np.random.Generator, n_variables: int) -> Node:
 
 def random_tree(
     rng: np.random.Generator,
-    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
     n_variables: int = 1,
     max_length: int = DEFAULT_MAX_LENGTH,
     max_depth: int = DEFAULT_MAX_DEPTH,
@@ -276,10 +270,8 @@ def random_tree(
         raise ValueError("max_length must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    unary = [s for s in function_set if s in UNARY_SYMBOLS]
-    binary = [s for s in function_set if s in BINARY_SYMBOLS]
     target = int(rng.integers(1, max_length + 1))
-    if target == 1 or max_depth == 1 or not (unary or binary):
+    if target == 1 or max_depth == 1:
         return _random_leaf(rng, n_variables)
 
     # Slots are numbered in breadth-first order, which is also the order
@@ -294,9 +286,9 @@ def random_tree(
         choices: list[str] = []
         if d < max_depth:
             if committed + 1 <= target:
-                choices.extend(unary)
+                choices.extend(UNARY_SYMBOLS)
             if committed + 2 <= target:
-                choices.extend(binary)
+                choices.extend(BINARY_SYMBOLS)
         if choices:
             symbol = choices[int(rng.integers(len(choices)))]
             arity = 1 if symbol in UNARY_SYMBOLS else 2
@@ -359,16 +351,12 @@ def _sites(tree: Node) -> dict[str, list[Site]]:
     return sites
 
 
-def _swap_symbol(
-    tree: Node, rng: np.random.Generator, sites: list[Site], function_set: Sequence[str]
-) -> Node:
+def _swap_symbol(tree: Node, rng: np.random.Generator, sites: list[Site]) -> Node:
     if not sites:
         return tree
     idx, node = sites[int(rng.integers(len(sites)))]
     pool = UNARY_SYMBOLS if node.symbol in UNARY_SYMBOLS else BINARY_SYMBOLS
-    options = [s for s in function_set if s in pool and s != node.symbol]
-    if not options:
-        return tree
+    options = [s for s in pool if s != node.symbol]
     symbol = options[int(rng.integers(len(options)))]
     return replace_subtree(tree, idx, Node(symbol, None, node.children))
 
@@ -395,13 +383,9 @@ def _swap_variable(
     return replace_subtree(tree, idx, variable(new_index))
 
 
-def mutate_symbol(
-    tree: Node,
-    rng: np.random.Generator,
-    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
-) -> Node:
+def mutate_symbol(tree: Node, rng: np.random.Generator) -> Node:
     """Swap one function node's symbol for a different same-arity symbol."""
-    return _swap_symbol(tree, rng, _sites(tree)["function"], function_set)
+    return _swap_symbol(tree, rng, _sites(tree)["function"])
 
 
 def mutate_constant(tree: Node, rng: np.random.Generator) -> Node:
@@ -420,7 +404,6 @@ def mutate_subtree(
     n_variables: int,
     max_length: int = DEFAULT_MAX_LENGTH,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
 ) -> Node:
     """Replace one uniformly chosen subtree with a fresh random tree whose
     length and depth budgets keep the whole tree inside both caps."""
@@ -428,7 +411,7 @@ def mutate_subtree(
     old, at_depth = subtree_at(tree, idx)
     budget_length = max(1, max_length - tree.size + old.size)
     budget_depth = max(1, max_depth - at_depth + 1)
-    fresh = random_tree(rng, function_set, n_variables, budget_length, budget_depth)
+    fresh = random_tree(rng, n_variables, budget_length, budget_depth)
     return replace_subtree(tree, idx, fresh)
 
 
@@ -438,7 +421,6 @@ def mutate(
     n_variables: int,
     max_length: int = DEFAULT_MAX_LENGTH,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    function_set: Sequence[str] = DEFAULT_FUNCTION_SET,
 ) -> Node:
     """Apply one uniformly chosen mutation mode.
 
@@ -452,9 +434,9 @@ def mutate(
     modes = ["subtree"] + [kind for kind in ("function", "const", "var") if sites[kind]]
     mode = modes[int(rng.integers(len(modes)))]
     if mode == "function":
-        return _swap_symbol(tree, rng, sites[mode], function_set)
+        return _swap_symbol(tree, rng, sites[mode])
     if mode == "const":
         return _jitter_constant(tree, rng, sites[mode])
     if mode == "var":
         return _swap_variable(tree, rng, sites[mode], n_variables)
-    return mutate_subtree(tree, rng, n_variables, max_length, max_depth, function_set)
+    return mutate_subtree(tree, rng, n_variables, max_length, max_depth)

@@ -206,15 +206,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(str(path), "y", train_fraction=0.5)
 
-    def test_optional_shuffle_is_seeded(self, tmp_path):
+    def test_rows_keep_file_order(self, tmp_path):
         path = tmp_path / "s.csv"
         rows = "\n".join(f"{i},{i * 2}" for i in range(20))
         path.write_text("a,y\n" + rows + "\n")
-        a = load_csv(str(path), "y", train_fraction=0.5, seed=9)
-        b = load_csv(str(path), "y", train_fraction=0.5, seed=9)
-        c = load_csv(str(path), "y", train_fraction=0.5)
-        assert a.columns.tobytes() == b.columns.tobytes()
-        assert a.columns.tobytes() != c.columns.tobytes()
+        ds = load_csv(str(path), "y", train_fraction=0.5)
+        assert ds.columns[:, 0].tolist() == list(range(20))
+        assert ds.target.tolist() == [2.0 * i for i in range(20)]
+        assert ds.train_rows.tolist() == list(range(10))
 
     def test_save_load_roundtrip(self, tmp_path):
         ds = generate("keijzer5", seed=2)

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from mosr import cli
 from mosr.cli import main
+from mosr.harness import ExperimentConfig
 
 
 def test_problems_lists_eight(capsys):
@@ -146,3 +148,27 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     code = main(["experiment", "--config", str(cfg)])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["population_size = 1", "mutation_rate = 1.5", "max_evaluations = 10", "rule.add = power:2"],
+)
+def test_bad_settings_exit_before_any_run(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"problem = keijzer5\nobjective2 = complexity\npopulation_size = 12\n{line}\n")
+    out_dir = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run failed" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_run_flag_defaults_are_config_defaults():
+    args = cli._build_parser().parse_args(["run", "--out-dir", "out"])
+    defaults = ExperimentConfig()
+    for name in cli._RUN_FIELDS:
+        if name != "output_dir":
+            assert getattr(args, name) == getattr(defaults, name), name
+    assert args.output_dir == "out"

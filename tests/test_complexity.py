@@ -27,11 +27,7 @@ class TestCounts:
         assert variable_count(parse_sexpr(F1)) == 1
         assert variable_count(parse_sexpr(F2)) == 2
         assert variable_count(constant(4.0)) == 0
-
-    def test_variable_count_distinct_option(self):
-        tree = parse_sexpr("(+ x0 x0 x1)")
-        assert variable_count(tree) == 3
-        assert variable_count(tree, distinct=True) == 2
+        assert variable_count(parse_sexpr("(+ x0 x0 x1)")) == 3
 
     def test_tree_length_measure(self):
         tree_length = make_measure("tree_length")
@@ -97,6 +93,16 @@ class TestRecursiveComplexity:
     def test_leaf_values_must_be_at_least_one(self):
         with pytest.raises(RuleTableError):
             ComplexityRuleTable(rules={}, constant_value=0.5)
+
+    def test_one_child_rules_only_on_unary_symbols(self):
+        for kind in ("power", "exponential"):
+            with pytest.raises(RuleTableError, match="'add' takes two or more"):
+                ComplexityRuleTable(rules={"add": Rule(kind, 2.0)})
+            with pytest.raises(RuleTableError, match="'mul' takes two or more"):
+                default_rule_table().with_overrides({"mul": Rule(kind, 2.0)})
+        with pytest.raises(RuleTableError, match="unknown function symbol 'foo'"):
+            ComplexityRuleTable(rules={"foo": Rule("sum")})
+        assert ComplexityRuleTable(rules={"sin": Rule("power", 2.0)}).rule_for("sin").kind == "power"
 
     def test_monotone_in_children(self):
         # every non-leaf node's value >= max of its children's values

@@ -20,7 +20,7 @@ from mosr.harness import (
     select_best,
     write_front_csv,
 )
-from mosr.nsga2 import Individual
+from mosr.nsga2 import EngineConfig, Individual
 from mosr.trees import constant, random_tree
 
 
@@ -117,6 +117,34 @@ class TestConfigParsing:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("problem keijzer5\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("population_size = 1", "population_size must be >= 2"),
+            ("mutation_rate = 1.5", r"mutation_rate must be in \[0, 1\]"),
+            ("max_evaluations = 499", "max_evaluations must be >= population_size"),
+            ("max_depth = 0", "max_depth must be >= 1"),
+            ("rule.add = power:2", "rule.* override: rule 'power' takes one child"),
+            ("rule.foo = sum", "unknown function symbol 'foo'"),
+            ("rule.constant = 0.5", "leaf complexity values must be >= 1"),
+        ],
+    )
+    def test_bad_engine_and_rule_settings_fail_at_parse(self, line, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(f"problem = keijzer5\nobjective2 = complexity\n{line}\n")
+        assert "run failed" not in str(err.value)
+        assert len(str(err.value).splitlines()) == 1
+
+    def test_engine_defaults_come_from_engine_config(self):
+        engine = EngineConfig()
+        config = ExperimentConfig()
+        for name in (
+            "population_size", "max_evaluations", "max_length", "max_depth",
+            "mutation_rate", "tournament_size",
+        ):
+            assert getattr(config, name) == getattr(engine, name), name
+        assert config.engine_config(7) == EngineConfig(seed=7)
 
 
 class TestExecuteRun:

@@ -6,7 +6,6 @@ import pytest
 from mosr import trees
 from mosr.sexpr import parse_sexpr, to_sexpr
 from mosr.trees import (
-    DEFAULT_FUNCTION_SET,
     StructuralError,
     constant,
     crossover,
