@@ -190,22 +190,6 @@ _BINARY_IMPL: dict[str, Callable] = {
 }
 
 
-def _eval(node: Node, cols: list[np.ndarray]):
-    symbol = node.symbol
-    if symbol == "var":
-        return cols[node.value]
-    if symbol == "const":
-        return node.value
-    fold = _BINARY_IMPL.get(symbol)
-    if fold is not None:
-        kids = node.children
-        acc = _eval(kids[0], cols)
-        for child in kids[1:]:
-            acc = fold(acc, _eval(child, cols))
-        return acc
-    return _UNARY_IMPL[symbol](_eval(node.children[0], cols))
-
-
 def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
     """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
 
@@ -226,8 +210,37 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
             raise StructuralError(
                 f"tree uses variable x{tree.max_var} but data has {n_cols} columns"
             )
+        # Visiting the last child first and reversing gives a post-order with
+        # children left to right: a node's child values are the top of the
+        # value stack, first child deepest.  No recursion, so depth is free.
+        order: list[Node] = []
+        todo = [tree]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            todo += node.children
+        unary, binary = _UNARY_IMPL, _BINARY_IMPL
+        stack: list = []
+        push, pop = stack.append, stack.pop
         with np.errstate(all="ignore"):
-            out = _eval(tree, cols)
+            for node in reversed(order):
+                kids = node.children
+                if not kids:
+                    push(cols[node.value] if node.symbol == "var" else node.value)
+                elif len(kids) == 1:
+                    push(unary[node.symbol](pop()))
+                elif len(kids) == 2:
+                    right = pop()
+                    push(binary[node.symbol](pop(), right))
+                else:  # n-ary: fold left to right
+                    fold = binary[node.symbol]
+                    args = stack[-len(kids):]
+                    del stack[-len(kids):]
+                    acc = args[0]
+                    for value in args[1:]:
+                        acc = fold(acc, value)
+                    push(acc)
+        out = pop()
         if np.ndim(out) == 0:
             return np.full(n_rows, float(out))
         out = np.asarray(out, dtype=float)

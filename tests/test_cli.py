@@ -85,6 +85,16 @@ def test_eval_scores_saved_model(tmp_path, capsys):
     assert "nmse=0.0" in out
 
 
+def test_eval_scores_a_deep_model(tmp_path, capsys):
+    # deeper than Python's recursion limit: evaluation must not recurse
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y\n0.5,1\n1.5,2\n2.5,4\n")
+    model = tmp_path / "deep.sexpr"
+    model.write_text("(sin " * 3000 + "x0" + ")" * 3000 + "\n")
+    assert main(["eval", "--model", str(model), "--data", str(data), "--target", "y"]) == 0
+    assert capsys.readouterr().out.startswith("r2=")
+
+
 def test_experiment_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
