@@ -226,6 +226,7 @@ class AggregateStats:
     test_nmse_std: float
     length_mean: float
     length_std: float
+    rules: str
 
 
 def select_best(front: Sequence[Individual]) -> Individual:
@@ -374,6 +375,7 @@ def aggregate_results(config: ExperimentConfig, results: Sequence[RunResult]) ->
         test_nmse_std=test_std,
         length_mean=length_mean,
         length_std=length_std,
+        rules=config.rules,
     )
 
 
@@ -397,7 +399,7 @@ def write_runs_csv(results: Sequence[RunResult], path: str) -> None:
 def write_aggregate_csv(stats: AggregateStats, path: str) -> None:
     header = (
         "problem,objective2,repetitions,train_nmse_mean,train_nmse_std,"
-        "test_nmse_mean,test_nmse_std,length_mean,length_std"
+        "test_nmse_mean,test_nmse_std,length_mean,length_std,rules"
     )
     row = ",".join(
         [
@@ -410,6 +412,7 @@ def write_aggregate_csv(stats: AggregateStats, path: str) -> None:
             repr(stats.test_nmse_std),
             repr(stats.length_mean),
             repr(stats.length_std),
+            stats.rules,
         ]
     )
     _write_text(path, header + "\n" + row + "\n")

@@ -287,7 +287,7 @@ def run(
         for _ in range(config.population_size):
             p1 = tournament_select(population, rng, config.tournament_size)
             p2 = tournament_select(population, rng, config.tournament_size)
-            child = crossover(p1.tree, p2.tree, rng, config.max_length)
+            child = crossover(p1.tree, p2.tree, rng, config.max_length, config.max_depth)
             if rng.random() < config.mutation_rate:
                 child = mutate(child, rng, n_variables, config.max_length, config.max_depth)
             offspring.append(_evaluate(child, objective_fn))

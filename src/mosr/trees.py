@@ -327,27 +327,37 @@ def crossover(
     parent2: Node,
     rng: np.random.Generator,
     max_length: int = DEFAULT_MAX_LENGTH,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Node:
     """Subtree crossover.
 
     Replaces a cut point of ``parent1`` (90% bias toward internal nodes
     when any exist) with a uniformly chosen subtree of ``parent2``.  Cut
     points are re-drawn up to 9 times if the child would exceed
-    ``max_length``; after that the unmodified ``parent1`` is returned
-    (nodes are immutable, so sharing is safe).
+    ``max_length`` or ``max_depth``; after that the unmodified ``parent1``
+    is returned (nodes are immutable, so sharing is safe).
     """
-    nodes = list(iter_nodes(parent1))
+    sizes: list[int] = []  # per pre-order position
+    depths: list[int] = []
     internal: list[int] = []
     leaves: list[int] = []
-    for i, node in enumerate(nodes):
-        (internal if node.children else leaves).append(i)
+    todo = [(parent1, 1)]
+    while todo:
+        node, depth = todo.pop()
+        (internal if node.children else leaves).append(len(sizes))
+        sizes.append(node.size)
+        depths.append(depth)
+        todo += [(child, depth + 1) for child in reversed(node.children)]
     for _ in range(10):
         if internal and rng.random() < 0.9:
             cut = internal[int(rng.integers(len(internal)))]
         else:  # rng.integers(1) consumes no random bits: a leaf parent costs no draw
             cut = leaves[int(rng.integers(len(leaves)))]
         donor, _ = subtree_at(parent2, int(rng.integers(parent2.size)))
-        if parent1.size - nodes[cut].size + donor.size <= max_length:
+        if (
+            parent1.size - sizes[cut] + donor.size <= max_length
+            and depths[cut] - 1 + donor.height <= max_depth
+        ):
             return replace_subtree(parent1, cut, donor)
     return parent1
 

@@ -210,6 +210,8 @@ class TestAggregation:
             RunResult(seed=1, front=(model_b,), best=model_b, eval_count=160),
         ]
         stats = aggregate_results(config, results)
+        assert stats.rules == "eq1"
+        assert aggregate_results(ExperimentConfig(**SMALL, rules="figure"), results).rules == "figure"
         assert stats.repetitions == 2
         assert stats.train_nmse_mean == pytest.approx(0.2)
         assert stats.train_nmse_std == pytest.approx(math.sqrt(0.02))
@@ -228,6 +230,11 @@ class TestExecuteExperiment:
         agg = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert len(agg) == 2  # header + exactly one configuration row
         assert agg[1].startswith("keijzer5,tree_length,2,")
+        assert agg[0].split(",") == [
+            "problem", "objective2", "repetitions", "train_nmse_mean", "train_nmse_std",
+            "test_nmse_mean", "test_nmse_std", "length_mean", "length_std", "rules",
+        ]
+        assert agg[1].split(",")[-1] == "eq1"
 
     def test_reproducible_byte_identical(self, tmp_path):
         config = ExperimentConfig(**SMALL)

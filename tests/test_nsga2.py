@@ -266,16 +266,19 @@ class TestRun:
             return (1.0 / (1.0 + tree.size), float(tree.size))
 
         lengths = []
+        heights = []
 
         def watch(gen, pop, evals):
             lengths.extend(i.tree.size for i in pop)
+            heights.extend(i.tree.height for i in pop)
 
         config = EngineConfig(
-            population_size=16, max_evaluations=160, max_length=25, seed=5
+            population_size=16, max_evaluations=160, max_length=25, max_depth=6, seed=5
         )
         pop, _ = run(config, objective, n_variables=2, on_generation=watch)
         assert lengths
         assert max(lengths) <= 25
+        assert max(heights) <= 6
 
     def test_elitism_front_never_dominated_by_previous(self):
         rng_obj = np.random.default_rng(0)

@@ -176,8 +176,9 @@ class TestCrossover:
         parents = [random_tree(rng, n_variables=2, max_length=100) for _ in range(40)]
         for _ in range(3000):
             i, j = rng.integers(len(parents), size=2)
-            child = crossover(parents[i], parents[j], rng, max_length=100)
+            child = crossover(parents[i], parents[j], rng, max_length=100, max_depth=17)
             assert child.size <= 100
+            assert child.height <= 17
 
     def test_deterministic_per_seed(self):
         p1 = random_tree(np.random.default_rng(1), n_variables=2)
