@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not 0.0 <= self.train_fraction <= 1.0:
+            raise ConfigError("train_fraction must be in [0, 1]")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1)")
         if self.problem:

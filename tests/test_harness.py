@@ -125,6 +125,7 @@ class TestConfigParsing:
             ("mutation_rate = 1.5", r"mutation_rate must be in \[0, 1\]"),
             ("max_evaluations = 499", "max_evaluations must be >= population_size"),
             ("max_depth = 0", "max_depth must be >= 1"),
+            ("train_fraction = 1.5", r"train_fraction must be in \[0, 1\]"),
             ("rule.add = power:2", "rule.* override: rule 'power' takes one child"),
             ("rule.foo = sum", "unknown function symbol 'foo'"),
             ("rule.constant = 0.5", "leaf complexity values must be >= 1"),
