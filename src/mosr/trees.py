@@ -337,17 +337,11 @@ def crossover(
     ``max_length`` or ``max_depth``; after that the unmodified ``parent1``
     is returned (nodes are immutable, so sharing is safe).
     """
-    sizes: list[int] = []  # per pre-order position
-    depths: list[int] = []
+    nodes = list(iter_nodes(parent1))
     internal: list[int] = []
     leaves: list[int] = []
-    todo = [(parent1, 1)]
-    while todo:
-        node, depth = todo.pop()
-        (internal if node.children else leaves).append(len(sizes))
-        sizes.append(node.size)
-        depths.append(depth)
-        todo += [(child, depth + 1) for child in reversed(node.children)]
+    for i, node in enumerate(nodes):
+        (internal if node.children else leaves).append(i)
     for _ in range(10):
         if internal and rng.random() < 0.9:
             cut = internal[int(rng.integers(len(internal)))]
@@ -355,8 +349,8 @@ def crossover(
             cut = leaves[int(rng.integers(len(leaves)))]
         donor, _ = subtree_at(parent2, int(rng.integers(parent2.size)))
         if (
-            parent1.size - sizes[cut] + donor.size <= max_length
-            and depths[cut] - 1 + donor.height <= max_depth
+            parent1.size - nodes[cut].size + donor.size <= max_length
+            and subtree_at(parent1, cut)[1] - 1 + donor.height <= max_depth
         ):
             return replace_subtree(parent1, cut, donor)
     return parent1
