@@ -229,7 +229,7 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
                     push(cols[node.value] if node.symbol == "var" else node.value)
                 elif len(kids) == 1:
                     push(unary[node.symbol](pop()))
-                elif len(kids) == 2:
+                elif len(kids) == 2:  # the common case, kept off the slicing path
                     right = pop()
                     push(binary[node.symbol](pop(), right))
                 else:  # n-ary: fold left to right
