@@ -27,7 +27,14 @@ class TestCounts:
         assert variable_count(parse_sexpr(F1)) == 1
         assert variable_count(parse_sexpr(F2)) == 2
         assert variable_count(constant(4.0)) == 0
-        assert variable_count(parse_sexpr("(+ x0 x0 x1)")) == 3
+
+    def test_variable_count_distinct_option(self):
+        # a repeated variable counts once per occurrence; there is no
+        # option to count distinct variables instead
+        tree = parse_sexpr("(+ x0 x0 x1)")
+        assert variable_count(tree) == 3
+        with pytest.raises(TypeError):
+            variable_count(tree, distinct=True)
 
     def test_tree_length_measure(self):
         tree_length = make_measure("tree_length")
