@@ -309,7 +309,7 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
     return Dataset(
         variable_names=tuple(header[i] for i in keep),
         columns=table[:, keep],
-        target=table[:, target_idx],
+        target=table[:, target_idx].copy(),  # a view would pin the whole table
         train_rows=np.arange(n_train),
         test_rows=np.arange(n_train, n),
         target_name=target_column,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes
+from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes, postorder
 
 _INF = float("inf")
 
@@ -79,10 +79,16 @@ class Rule:
         return _saturating_pow(self.parameter, child_values[0])
 
     def spec(self) -> str:
-        """Config-file form, e.g. ``power:2``."""
+        """Config-file form, e.g. ``power:2``; parses back to this rule."""
         if self.kind in _UNARY_KINDS:
-            return f"{self.kind}:{format(self.parameter, 'g')}"
+            return f"{self.kind}:{format_number(self.parameter)}"
         return self.kind
+
+
+def format_number(value: float) -> str:
+    """Shortest text that parses back to ``value`` ("2" rather than "2.0")."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _saturating_pow(base: float, exponent: float) -> float:
@@ -189,13 +195,26 @@ RULE_TABLES: dict[str, Callable[[], ComplexityRuleTable]] = {
 
 
 def recursive_complexity(tree: Node, rules: ComplexityRuleTable) -> float:
-    """Fold the rule table bottom-up over the tree; saturates to +inf."""
-    if tree.symbol == "const":
-        return rules.constant_value
-    if tree.symbol == "var":
-        return rules.variable_value
-    values = [recursive_complexity(c, rules) for c in tree.children]
-    return rules.rule_for(tree.symbol).apply(values)
+    """Fold the rule table bottom-up over the tree; saturates to +inf.
+
+    Walks an explicit value stack, not the recursion the name describes, so
+    trees of any depth can be measured.
+    """
+    constant_value, variable_value, rule_for = (
+        rules.constant_value, rules.variable_value, rules.rule_for
+    )
+    stack: list[float] = []
+    for node in postorder(tree):
+        kids = node.children
+        if not kids:
+            stack.append(constant_value if node.symbol == "const" else variable_value)
+        elif len(kids) == 1:  # the common case, kept off the slicing path
+            stack[-1] = rule_for(node.symbol).apply([stack[-1]])
+        else:  # a node's child values are the top len(kids), first child deepest
+            values = stack[-len(kids):]
+            del stack[-len(kids):]
+            stack.append(rule_for(node.symbol).apply(values))
+    return stack[0]
 
 
 def variable_count(tree: Node) -> int:

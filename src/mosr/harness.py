@@ -21,8 +21,8 @@ Config files are line-oriented ``key = value`` with ``#`` comments, e.g.::
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -35,11 +35,12 @@ from .complexity import (
     RULE_TABLES,
     ComplexityRuleTable,
     Rule,
+    format_number,
     make_measure,
     rule_from_string,
 )
 from .data import Dataset
-from .metrics import fit_linear_scaling, pearson_r2, scaled_nmse
+from .metrics import fit_linear_scaling, make_pearson_r2, pearson_r2, scaled_nmse
 from .nsga2 import EngineConfig, Individual, pareto_front, run
 from .sexpr import to_sexpr
 from .trees import evaluate_matrix, make_matrix_evaluator
@@ -135,6 +136,18 @@ class ExperimentConfig:
             return table.with_overrides(rules, constant_value, variable_value)
         except ValueError as exc:
             raise ConfigError(f"bad rule.* override: {exc}") from None
+
+    def rules_label(self) -> str:
+        """The rule table's name, then each ``rule.*`` override sorted by
+        symbol, e.g. ``eq1;sqrt=power:2``; assumes a validated config."""
+        parts = [self.rules]
+        for symbol in sorted(self.rule_overrides):
+            text = self.rule_overrides[symbol]
+            if symbol in ("constant", "variable"):
+                parts.append(f"{symbol}={format_number(float(text))}")
+            else:
+                parts.append(f"{symbol}={rule_from_string(text).spec()}")
+        return ";".join(parts)
 
     def label(self) -> str:
         if self.problem:
@@ -321,18 +334,22 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         table = config.rule_table()
         measure = make_measure(config.objective2, table)
         fit_rows, val_rows = _split_validation(dataset.train_rows, config.validation_fraction)
-        X_fit = dataset.columns[fit_rows]
         y_fit = dataset.target[fit_rows]
         if float(np.var(y_fit)) == 0.0:
             raise ConfigError("training target has zero variance")
-        evaluate_fit = make_matrix_evaluator(X_fit)
+        # the evaluator keeps its own copy of each column, so the fit rows
+        # are gathered again for the front rather than held through the run
+        evaluate_fit = make_matrix_evaluator(dataset.columns[fit_rows])
+        r2_fit = make_pearson_r2(y_fit)
 
         def objective(tree) -> tuple[float, float]:
-            return 1.0 - pearson_r2(evaluate_fit(tree), y_fit), measure(tree)
+            return 1.0 - r2_fit(evaluate_fit(tree)), measure(tree)
 
         population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
         front = pareto_front(population)
-        models = _front_models(front, X_fit, y_fit, dataset.X_test, dataset.y_test)
+        models = _front_models(
+            front, dataset.columns[fit_rows], y_fit, dataset.X_test, dataset.y_test
+        )
         if val_rows.size:
             X_val = dataset.columns[val_rows]
             y_val = dataset.target[val_rows]
@@ -357,9 +374,17 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample std.  One value has std 0; an infinite value makes
+    the std inf, unless a NaN makes it NaN."""
     arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    with np.errstate(invalid="ignore"):  # inf + -inf is a NaN mean, not an error
+        mean = float(arr.mean())
+    if arr.size < 2:
+        std = 0.0
+    elif np.isfinite(arr).all():
+        std = float(arr.std(ddof=1))
+    else:  # numpy would subtract inf from inf and warn
+        std = math.nan if np.isnan(arr).any() else math.inf
     return mean, std
 
 
@@ -377,7 +402,7 @@ def aggregate_results(config: ExperimentConfig, results: Sequence[RunResult]) ->
         test_nmse_std=test_std,
         length_mean=length_mean,
         length_std=length_std,
-        rules=config.rules,
+        rules=config.rules_label(),
     )
 
 
@@ -434,6 +459,9 @@ def execute_experiment(
     os.makedirs(out, exist_ok=True)
     seeds = range(config.base_seed, config.base_seed + config.repetitions)
     if config.jobs > 1 and config.repetitions > 1:
+        # imported here: loading it costs every process start, pool or not
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(partial(execute_run, config), seeds))
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,28 +33,51 @@ def _as_pair(pred, actual) -> tuple[np.ndarray, np.ndarray]:
     return p, a
 
 
+def make_pearson_r2(actual) -> Callable[[object], float]:
+    """Prepared :func:`pearson_r2` against the fixed target ``actual``.
+
+    The target's finiteness check, centring and scaling are done once; the
+    returned callable scores one prediction vector per call, with the same
+    float operations in the same order as ``pearson_r2``.
+    """
+    a = np.asarray(actual, dtype=float)
+    if a.ndim != 1:
+        raise ValueError("pred and actual must be 1-d vectors")
+    # stays None for an empty, non-finite or constant target, or one whose
+    # centring overflowed: every prediction then gets the worst case, 0
+    an = an_an = None
+    if a.size and np.isfinite(a).all():
+        with np.errstate(all="ignore"):
+            a_centered = a - a.mean()
+            a_scale = float(np.abs(a_centered).max())
+        if 0.0 < a_scale < math.inf:
+            an = a_centered / a_scale
+            an_an = float(an @ an)
+
+    def r2(pred) -> float:
+        p, _ = _as_pair(pred, a)
+        if an is None or not np.isfinite(p).all():
+            return 0.0
+        with np.errstate(all="ignore"):
+            p_centered = p - p.mean()
+            p_scale = float(np.abs(p_centered).max())
+        # centering itself can overflow for huge-magnitude predictions; such
+        # models are degenerate and get the worst-case convention
+        if not 0.0 < p_scale < math.inf:
+            return 0.0
+        # unit-scale both sides so the dot products cannot overflow no matter
+        # how wild the prediction magnitudes are; the measure is scale-free
+        pn = p_centered / p_scale
+        cov = float(pn @ an)
+        return min(cov * cov / (float(pn @ pn) * an_an), 1.0)
+
+    return r2
+
+
 def pearson_r2(pred, actual) -> float:
     """Squared Pearson correlation in [0, 1]; 0 for zero-variance or
     non-finite input by convention."""
-    p, a = _as_pair(pred, actual)
-    if not (np.isfinite(p).all() and np.isfinite(a).all()):
-        return 0.0
-    with np.errstate(all="ignore"):
-        p_centered = p - p.mean()
-        a_centered = a - a.mean()
-        p_scale = float(np.abs(p_centered).max())
-        a_scale = float(np.abs(a_centered).max())
-    # centering itself can overflow for huge-magnitude predictions; such
-    # models are degenerate and get the worst-case convention
-    if not (0.0 < p_scale < math.inf and 0.0 < a_scale < math.inf):
-        return 0.0
-    # unit-scale both sides so the dot products cannot overflow no matter
-    # how wild the prediction magnitudes are; the measure is scale-free
-    pn = p_centered / p_scale
-    an = a_centered / a_scale
-    cov = float(pn @ an)
-    r2 = cov * cov / (float(pn @ pn) * float(an @ an))
-    return min(r2, 1.0)
+    return make_pearson_r2(actual)(pred)
 
 
 def nmse(pred, actual) -> float:

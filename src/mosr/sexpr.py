@@ -17,6 +17,7 @@ from .trees import (
     Node,
     constant,
     function,
+    postorder,
     variable,
 )
 
@@ -48,12 +49,20 @@ def format_constant(value: float) -> str:
 
 
 def to_sexpr(tree: Node) -> str:
-    if tree.symbol == "const":
-        return format_constant(tree.value)
-    if tree.symbol == "var":
-        return f"x{tree.value}"
-    name = _PRINT_NAME.get(tree.symbol, tree.symbol)
-    return "(" + " ".join([name] + [to_sexpr(c) for c in tree.children]) + ")"
+    """The tree's text; an explicit stack, so any depth can be written."""
+    stack: list[str] = []
+    for node in postorder(tree):
+        kids = node.children
+        if node.symbol == "const":
+            stack.append(format_constant(node.value))
+        elif node.symbol == "var":
+            stack.append(f"x{node.value}")
+        else:  # a node's child texts are the top len(kids), first child deepest
+            parts = stack[-len(kids):]
+            del stack[-len(kids):]
+            name = _PRINT_NAME.get(node.symbol, node.symbol)
+            stack.append("(" + " ".join([name] + parts) + ")")
+    return stack[0]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

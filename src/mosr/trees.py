@@ -6,8 +6,11 @@ mutation rebuild only the path from the root to the replaced subtree.
 
 Node positions are pre-order indices (root = 0).  :func:`iter_nodes` walks
 every node in that order; :func:`subtree_at` descends to one position
-through the cached subtree sizes and also reports its depth.  Length and
-depth are the cached ``Node.size`` and ``Node.height``.
+through the cached subtree sizes and also reports its depth.
+:func:`postorder` lists every node after its children, the order in which
+the evaluator, the complexity measure and the writer fold a value stack
+without recursion.  Length and depth are the cached ``Node.size`` and
+``Node.height``.
 
 There is one evaluator: :func:`make_matrix_evaluator` prepares the columns
 of a matrix once and returns a callable that scores trees on them;
@@ -123,6 +126,23 @@ def iter_nodes(tree: Node) -> Iterator[Node]:
         stack.extend(reversed(node.children))
 
 
+def postorder(tree: Node) -> list[Node]:
+    """All nodes, each after its children and children left to right.
+
+    Folding a value stack over this list finds a node's child values on top
+    of the stack, first child deepest.  No recursion, so depth is free.
+    """
+    # visiting the last child first and reversing gives exactly this order
+    order: list[Node] = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node.children
+    order.reverse()
+    return order
+
+
 def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
     """Subtree rooted at pre-order position ``index`` (root = 0) and its
     depth (root = 1)."""
@@ -189,6 +209,11 @@ _BINARY_IMPL: dict[str, Callable] = {
     "div": np.true_divide,
 }
 
+# Unary functions whose value on a bare column is stored by the prepared
+# evaluator: with this numpy they are scalar libm loops, many times dearer
+# than the other operators, which cost less to recompute than to keep.
+_CACHED_UNARY = frozenset(("sin", "cos", "log"))
+
 
 def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
     """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
@@ -198,37 +223,48 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
     the tree references a variable index ``X`` does not have; numeric
     trouble (division by zero, log of a non-positive, overflow) yields
     non-finite values instead.
+
+    The first time a tree applies ``sin``, ``cos`` or ``log`` to a bare
+    variable, the evaluator stores the result, read-only, and later trees
+    reuse it: the same function of the same column, so outputs are
+    bit-identical.  The store holds at most three times ``X``'s size.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows x variables)")
     n_rows, n_cols = X.shape
     cols = [np.ascontiguousarray(X[:, j]) for j in range(n_cols)]
+    for col in cols:
+        col.flags.writeable = False
+    # symbol -> that function of each column, filled in on first use
+    column_values: dict[str, list] = {s: [None] * n_cols for s in _CACHED_UNARY}
 
     def evaluate_tree(tree: Node) -> np.ndarray:
         if tree.max_var >= n_cols:
             raise StructuralError(
                 f"tree uses variable x{tree.max_var} but data has {n_cols} columns"
             )
-        # Visiting the last child first and reversing gives a post-order with
-        # children left to right: a node's child values are the top of the
-        # value stack, first child deepest.  No recursion, so depth is free.
-        order: list[Node] = []
-        todo = [tree]
-        while todo:
-            node = todo.pop()
-            order.append(node)
-            todo += node.children
         unary, binary = _UNARY_IMPL, _BINARY_IMPL
         stack: list = []
         push, pop = stack.append, stack.pop
         with np.errstate(all="ignore"):
-            for node in reversed(order):
+            for node in postorder(tree):
                 kids = node.children
                 if not kids:
                     push(cols[node.value] if node.symbol == "var" else node.value)
                 elif len(kids) == 1:
-                    push(unary[node.symbol](pop()))
+                    stored = column_values.get(node.symbol)
+                    if stored is not None and kids[0].symbol == "var":
+                        j = kids[0].value
+                        value = stored[j]
+                        if value is None:
+                            value = stored[j] = unary[node.symbol](pop())
+                            value.flags.writeable = False
+                        else:
+                            pop()
+                        push(value)
+                    else:
+                        push(unary[node.symbol](pop()))
                 elif len(kids) == 2:  # the common case, kept off the slicing path
                     right = pop()
                     push(binary[node.symbol](pop(), right))
@@ -243,9 +279,8 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
         out = pop()
         if np.ndim(out) == 0:
             return np.full(n_rows, float(out))
-        out = np.asarray(out, dtype=float)
-        if tree.symbol == "var":
-            out = out.copy()  # never hand back a view into X
+        if not out.flags.writeable:
+            out = out.copy()  # never hand back a column or a stored value
         return out
 
     return evaluate_tree

@@ -124,6 +124,37 @@ class TestRecursiveComplexity:
                         check(child)
                 check(tree)
 
+    def test_matches_recursive_fold_bit_for_bit(self):
+        def reference(node, table):
+            if node.symbol == "const":
+                return table.constant_value
+            if node.symbol == "var":
+                return table.variable_value
+            values = [reference(c, table) for c in node.children]
+            return table.rule_for(node.symbol).apply(values)
+
+        literal = default_rule_table()
+        odd = literal.with_overrides(
+            rules={"add": Rule("product_of_incremented"), "exp": Rule("exponential", 1.1)},
+            constant_value=1.3,
+            variable_value=2.7,
+        )
+        rng = np.random.default_rng(8)
+        trees = [random_tree(rng, n_variables=3, max_length=60) for _ in range(300)]
+        trees.append(parse_sexpr("(- (* x0 1.5 x1) (div x2 x0 3) (+ 1 2 3 4))"))
+        for table in (literal, figure_consistent_rule_table(), odd):
+            for tree in trees:
+                assert recursive_complexity(tree, table).hex() == reference(tree, table).hex()
+
+    def test_deep_models_are_measured(self):
+        # deeper than the interpreter's recursion limit
+        depth = 3000
+        chain = parse_sexpr("(sin " * depth + "x0" + ")" * depth)
+        assert recursive_complexity(chain, default_rule_table()) == math.inf
+        assert make_measure("complexity")(chain) == math.inf
+        sums = parse_sexpr("(+ 1 " * depth + "x0" + ")" * depth)
+        assert recursive_complexity(sums, default_rule_table()) == depth + 2.0
+
     def test_constant_to_variable_never_decreases(self):
         table = default_rule_table()
         rng = np.random.default_rng(31)

@@ -18,6 +18,7 @@ from mosr.harness import (
     load_config,
     parse_config,
     select_best,
+    write_aggregate_csv,
     write_front_csv,
 )
 from mosr.nsga2 import EngineConfig, Individual
@@ -201,6 +202,34 @@ class TestAggregation:
     def test_single_repetition_std_is_zero(self):
         mean, std = _mean_std([0.4])
         assert (mean, std) == (0.4, 0.0)
+
+    def test_infinite_value_gives_infinite_std_without_warning(self, recwarn):
+        assert _mean_std([math.inf, 1.0]) == (math.inf, math.inf)
+        mean, std = _mean_std([math.inf, -math.inf, 2.0])
+        assert math.isnan(mean) and std == math.inf
+        mean, std = _mean_std([math.nan, math.inf])
+        assert math.isnan(mean) and math.isnan(std)
+        assert _mean_std([math.inf]) == (math.inf, 0.0)
+        assert not recwarn.list
+
+    def test_rules_column_records_overrides(self, tmp_path):
+        config = parse_config(
+            "problem = keijzer5\n"
+            "rules = eq1\n"
+            "rule.sqrt = power:2.0\n"
+            "rule.variable = 3\n"
+            "rule.mul = product_of_incremented\n"
+            "rule.exp = exponential : 1.25\n"
+        )
+        label = "eq1;exp=exponential:1.25;mul=product_of_incremented;sqrt=power:2;variable=3"
+        assert config.rules_label() == label
+        model = FrontModel(3, 3.0, 0.1, 0.2, "x0")
+        stats = aggregate_results(config, [RunResult(0, (model,), model, 160)])
+        assert stats.rules == label
+        path = tmp_path / "aggregate.csv"
+        write_aggregate_csv(stats, str(path))
+        assert path.read_text().splitlines()[1].split(",")[-1] == label
+        assert ExperimentConfig(**SMALL, rules="figure").rules_label() == "figure"
 
     def test_aggregate_over_results(self):
         config = ExperimentConfig(**SMALL)

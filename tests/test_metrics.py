@@ -6,10 +6,43 @@ import pytest
 from mosr.metrics import (
     accuracy_report,
     fit_linear_scaling,
+    make_pearson_r2,
     nmse,
     pearson_r2,
     scaled_nmse,
 )
+
+
+def _reference_pearson_r2(pred, actual) -> float:
+    """Unprepared R^2: every step on every call, in the library's order."""
+    p = np.asarray(pred, dtype=float)
+    a = np.asarray(actual, dtype=float)
+    if not (np.isfinite(p).all() and np.isfinite(a).all()):
+        return 0.0
+    with np.errstate(all="ignore"):
+        p_centered = p - p.mean()
+        a_centered = a - a.mean()
+        p_scale = float(np.abs(p_centered).max())
+        a_scale = float(np.abs(a_centered).max())
+    if not (0.0 < p_scale < math.inf and 0.0 < a_scale < math.inf):
+        return 0.0
+    pn = p_centered / p_scale
+    an = a_centered / a_scale
+    cov = float(pn @ an)
+    return min(cov * cov / (float(pn @ pn) * float(an @ an)), 1.0)
+
+
+def _vectors(rng, n):
+    """Random, constant, non-finite and huge-magnitude vectors of length n."""
+    yield rng.normal(size=n)
+    yield rng.uniform(-1e6, 1e6, size=n)
+    yield np.full(n, 3.25)
+    yield np.where(rng.random(n) < 0.5, 1e300, -1e300)
+    yield rng.normal(size=n) * 1e300
+    for bad in (math.nan, math.inf, -math.inf):
+        v = rng.normal(size=n)
+        v[rng.integers(n)] = bad
+        yield v
 
 
 class TestPearsonR2:
@@ -37,10 +70,18 @@ class TestPearsonR2:
         assert scaled_nmse(pred, actual, slope, intercept) == pytest.approx(1.0)
 
     def test_usage_errors(self):
-        with pytest.raises(ValueError):
-            pearson_r2([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            pearson_r2([], [])
+        cases = [
+            ([1, 2], [1, 2, 3], "length mismatch"),
+            ([1, 2, 3], [], "length mismatch"),
+            ([], [], "empty vectors"),
+            ([[1, 2]], [1, 2], "1-d"),
+            ([1, 2], [[1, 2]], "1-d"),
+        ]
+        for pred, actual, message in cases:
+            with pytest.raises(ValueError, match=message):
+                pearson_r2(pred, actual)
+            with pytest.raises(ValueError, match=message):
+                make_pearson_r2(actual)(pred)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(0)
@@ -51,6 +92,18 @@ class TestPearsonR2:
             a = rng.uniform(0.1, 5) * (1 if rng.random() < 0.5 else -1)
             b = rng.uniform(-10, 10)
             assert pearson_r2(a * pred + b, actual) == pytest.approx(base, abs=1e-12)
+
+    def test_prepared_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 300):
+            targets = list(_vectors(rng, n))
+            preds = list(_vectors(rng, n)) + [t.copy() for t in targets] + [-2.0 * targets[0]]
+            for actual in targets:
+                r2 = make_pearson_r2(actual)  # one target, many predictions
+                for pred in preds:
+                    want = _reference_pearson_r2(pred, actual).hex()
+                    assert r2(pred).hex() == want
+                    assert pearson_r2(pred, actual).hex() == want
 
     def test_range_clamped(self):
         rng = np.random.default_rng(1)

@@ -102,3 +102,13 @@ def test_random_roundtrip_structural_identity():
         again = parse_sexpr(text)
         assert again == tree
         assert to_sexpr(again) == text
+
+
+def test_deep_model_is_written():
+    # deeper than the interpreter's recursion limit
+    depth = 3000
+    for text in (
+        "(sin " * depth + "x0" + ")" * depth,
+        "(+ 1.5 " * depth + "x2" + ")" * depth,
+    ):
+        assert to_sexpr(parse_sexpr(text)) == text

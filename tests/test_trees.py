@@ -86,6 +86,105 @@ class TestEvaluate:
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
 
+def _uncached(tree, X):
+    """Reference evaluator: recursive, stores nothing between nodes or trees."""
+    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+
+    def value(node):
+        if node.symbol == "var":
+            return cols[node.value]
+        if node.symbol == "const":
+            return node.value
+        args = [value(c) for c in node.children]
+        if len(args) == 1:
+            return trees._UNARY_IMPL[node.symbol](args[0])
+        acc = args[0]
+        for arg in args[1:]:
+            acc = trees._BINARY_IMPL[node.symbol](acc, arg)
+        return acc
+
+    with np.errstate(all="ignore"):
+        out = value(tree)
+    if np.ndim(out) == 0:
+        return np.full(X.shape[0], float(out))
+    return np.array(out, dtype=float)
+
+
+def _stored_arrays(evaluator):
+    """The column values a prepared evaluator has stored so far."""
+    cells = dict(zip(evaluator.__code__.co_freevars, evaluator.__closure__))
+    stored = cells["column_values"].cell_contents
+    return [a for per_column in stored.values() for a in per_column if a is not None]
+
+
+# sin/cos/log of a bare column at the root, inside subtrees, and repeated
+CACHED_SHAPES = [
+    "(sin x0)",
+    "(cos x1)",
+    "(log x2)",
+    "(+ (sin x0) (cos x1))",
+    "(* (log x2) (sin x2) (cos x2))",
+    "(- (sin x0) (sin x0) (sin (sin x0)))",
+    "(exp (log x0))",
+    "(div (cos (log x1)) (log x1))",
+    "(sqrt (+ (log x0) (square (cos x0))))",
+    "(sin x3)",
+    "(log (sin x1))",
+]
+
+
+class TestPreparedEvaluatorCache:
+    def _data(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(0.0, 3.0, size=(200, 4))
+        X[:5, :] = [[0.0, -0.0, np.inf, -np.inf]] * 5  # log's NaN and ufunc edge cases
+        return X
+
+    def test_matches_uncached_bit_for_bit(self):
+        X = self._data()
+        evaluate = trees.make_matrix_evaluator(X)
+        rng = np.random.default_rng(5)
+        shapes = [parse_sexpr(text) for text in CACHED_SHAPES]
+        randoms = [random_tree(rng, n_variables=4, max_length=40) for _ in range(3000)]
+        for tree in shapes + randoms + shapes:
+            got = evaluate(tree)
+            want = _uncached(tree, X)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), to_sexpr(tree)
+        # every function of every column was stored once, and nothing else
+        assert len(_stored_arrays(evaluate)) == 3 * X.shape[1]
+
+    def test_stored_values_are_read_only(self):
+        evaluate = trees.make_matrix_evaluator(self._data())
+        evaluate(parse_sexpr("(+ (sin x0) (log x1))"))
+        stored = _stored_arrays(evaluate)
+        assert len(stored) == 2
+        assert not any(a.flags.writeable for a in stored)
+
+    @pytest.mark.parametrize("text", ["(sin x0)", "(cos x1)", "(log x2)", "x3"])
+    def test_result_is_a_private_writable_copy(self, text):
+        X = self._data()
+        evaluate = trees.make_matrix_evaluator(X)
+        tree = parse_sexpr(text)
+        first = evaluate(tree)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, X)
+        assert not any(np.shares_memory(first, a) for a in _stored_arrays(evaluate))
+        want = _uncached(tree, X)
+        first[:] = 12345.0
+        again = evaluate(tree)
+        assert np.array_equal(again.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(first, again)
+
+    def test_input_matrix_stays_writable_and_unchanged(self):
+        X = self._data()
+        before = X.copy()
+        evaluate = trees.make_matrix_evaluator(X)
+        evaluate(parse_sexpr("(+ (sin x0) (cos x1) (log x2) x3)"))
+        assert X.flags.writeable
+        assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
+
+
 class TestShape:
     def test_length_examples(self):
         assert parse_sexpr("(exp (sin (sqrt x0)))").size == 4
