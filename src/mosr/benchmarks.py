@@ -267,13 +267,13 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
         if target_column not in header:
             raise ValueError(
                 f"{path}: no column named '{target_column}' "
-                f"(columns: {', '.join(header)})"
+                f"(columns: {', '.join(map(repr, header))})"
             )
         rows: list[list[float]] = []
-        blank_lines: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
+        row_lines: list[int] = []  # file line of each row (a quoted cell may span lines)
+        for row in reader:
+            line_no = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
-                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise ValueError(
@@ -284,24 +284,20 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value '{cell.strip()}' "
+                    raise ValueError(  # repr keeps a quoted newline on one line
+                        f"{path}: non-numeric value {cell.strip()!r} "
                         f"at line {line_no}, column '{name}'"
                     ) from None
             rows.append(parsed)
+            row_lines.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         r, c = bad[0]
-        line_no = int(r) + 2
-        for blank in blank_lines:  # a skipped line at or before it moves the row down
-            if blank > line_no:
-                break
-            line_no += 1
         kind = "NaN" if np.isnan(table[r, c]) else "infinite"
-        raise ValueError(f"{path}: {kind} value at line {line_no}, column '{header[c]}'")
+        raise ValueError(f"{path}: {kind} value at line {row_lines[r]}, column '{header[c]}'")
     target_idx = header.index(target_column)
     keep = [i for i in range(len(header)) if i != target_idx]
     n = table.shape[0]

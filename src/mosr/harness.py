@@ -338,8 +338,10 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         if float(np.var(y_fit)) == 0.0:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows
-        # are gathered again for the front rather than held through the run
-        evaluate_fit = make_matrix_evaluator(dataset.columns[fit_rows])
+        # are gathered again for the front rather than held through the run;
+        # r2_fit scores any non-finite prediction 0, so a tree bound for a
+        # NaN may stop at the first log or sqrt that guarantees one
+        evaluate_fit = make_matrix_evaluator(dataset.columns[fit_rows], nan_exit=True)
         r2_fit = make_pearson_r2(y_fit)
 
         def objective(tree) -> tuple[float, float]:

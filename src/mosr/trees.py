@@ -78,11 +78,17 @@ class Node:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        if self.symbol != other.symbol or self.size != other.size:
-            return False
-        if not self.children:
-            return self.value == other.value
-        return all(a == b for a, b in zip(self.children, other.children))
+        pairs = [(self, other)]  # an explicit stack, so depth is free
+        while pairs:
+            a, b = pairs.pop()
+            if a.symbol != b.symbol or a.size != b.size:
+                return False
+            if not a.children:
+                if a.value != b.value:
+                    return False
+            else:
+                pairs += zip(a.children, b.children)
+        return True
 
     __hash__ = None  # structural equality, not hashable
 
@@ -143,45 +149,42 @@ def postorder(tree: Node) -> list[Node]:
     return order
 
 
-def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
-    """Subtree rooted at pre-order position ``index`` (root = 0) and its
-    depth (root = 1)."""
+def _descend(tree: Node, index: int) -> tuple[Node, list[tuple[Node, int]]]:
+    """Subtree at pre-order position ``index`` and the path to it: each
+    ancestor, root first, with the position of the child taken."""
     if not 0 <= index < tree.size:
         raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
     node = tree
-    depth = 1
+    path: list[tuple[Node, int]] = []
     while index > 0:
         index -= 1
-        for child in node.children:
+        for k, child in enumerate(node.children):
             if index < child.size:
+                path.append((node, k))
                 node = child
-                depth += 1
                 break
             index -= child.size
-    return node, depth
+    return node, path
+
+
+def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
+    """Subtree rooted at pre-order position ``index`` (root = 0) and its
+    depth (root = 1)."""
+    node, path = _descend(tree, index)
+    return node, len(path) + 1
 
 
 def replace_subtree(tree: Node, index: int, replacement: Node) -> Node:
     """New tree with the subtree at pre-order position ``index`` replaced.
 
-    Untouched subtrees are shared with the input tree.
+    Only the path from the root is rebuilt; untouched subtrees are shared
+    with the input tree.
     """
-    if not 0 <= index < tree.size:
-        raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
-    if index == 0:
-        return replacement
-    index -= 1
-    new_children = []
-    replaced = False
-    for child in tree.children:
-        if not replaced and index < child.size:
-            new_children.append(replace_subtree(child, index, replacement))
-            replaced = True
-        else:
-            if not replaced:
-                index -= child.size
-            new_children.append(child)
-    return Node(tree.symbol, tree.value, tuple(new_children))
+    _, path = _descend(tree, index)
+    for parent, k in reversed(path):
+        kids = parent.children
+        replacement = Node(parent.symbol, parent.value, kids[:k] + (replacement,) + kids[k + 1:])
+    return replacement
 
 
 # --- evaluation ---------------------------------------------------------
@@ -214,8 +217,15 @@ _BINARY_IMPL: dict[str, Callable] = {
 # than the other operators, which cost less to recompute than to keep.
 _CACHED_UNARY = frozenset(("sin", "cos", "log"))
 
+# The domain of each unary function that can turn a non-NaN argument into
+# NaN: the argument passes when the test holds in every row.  NaN fails
+# both tests, so an argument that already holds a NaN fails too.
+_DOMAIN_TEST: dict[str, Callable] = {"log": np.greater, "sqrt": np.greater_equal}
 
-def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
+
+def make_matrix_evaluator(
+    X: np.ndarray, *, nan_exit: bool = False
+) -> Callable[[Node], np.ndarray]:
     """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
 
     Splits the columns of ``X`` once; the returned callable scores one tree
@@ -228,6 +238,14 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
     variable, the evaluator stores the result, read-only, and later trees
     reuse it: the same function of the same column, so outputs are
     bit-identical.  The store holds at most three times ``X``'s size.
+
+    With ``nan_exit``, a tree whose ``log`` argument is not positive, or
+    whose ``sqrt`` argument is negative, in some row (or NaN there) is not
+    evaluated further: the callable returns all-NaN rows.  Every operator
+    maps a NaN operand to NaN, so such a tree's exact value holds a NaN in
+    that row too, and a score that takes any non-finite prediction as the
+    worst case, like Pearson R^2, is the same either way.  Inf does not
+    exit: ``1/inf`` and ``exp(-inf)`` are finite.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -238,6 +256,11 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
         col.flags.writeable = False
     # symbol -> that function of each column, filled in on first use
     column_values: dict[str, list] = {s: [None] * n_cols for s in _CACHED_UNARY}
+    domain_test = _DOMAIN_TEST if nan_exit else {}
+    # symbol -> whether each column passes its domain test
+    column_in_domain = {
+        s: [bool(test(col, 0.0).all()) for col in cols] for s, test in domain_test.items()
+    }
 
     def evaluate_tree(tree: Node) -> np.ndarray:
         if tree.max_var >= n_cols:
@@ -253,18 +276,23 @@ def make_matrix_evaluator(X: np.ndarray) -> Callable[[Node], np.ndarray]:
                 if not kids:
                     push(cols[node.value] if node.symbol == "var" else node.value)
                 elif len(kids) == 1:
-                    stored = column_values.get(node.symbol)
-                    if stored is not None and kids[0].symbol == "var":
+                    symbol = node.symbol
+                    arg = pop()
+                    test = domain_test.get(symbol)
+                    if kids[0].symbol == "var":
                         j = kids[0].value
-                        value = stored[j]
-                        if value is None:
-                            value = stored[j] = unary[node.symbol](pop())
-                            value.flags.writeable = False
-                        else:
-                            pop()
-                        push(value)
-                    else:
-                        push(unary[node.symbol](pop()))
+                        if test is not None and not column_in_domain[symbol][j]:
+                            return np.full(n_rows, np.nan)
+                        stored = column_values.get(symbol)
+                        if stored is not None:
+                            if stored[j] is None:
+                                stored[j] = unary[symbol](arg)
+                                stored[j].flags.writeable = False
+                            push(stored[j])
+                            continue
+                    elif test is not None and not test(arg, 0.0).all():
+                        return np.full(n_rows, np.nan)
+                    push(unary[symbol](arg))
                 elif len(kids) == 2:  # the common case, kept off the slicing path
                     right = pop()
                     push(binary[node.symbol](pop(), right))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mosr import trees
+from mosr.metrics import make_pearson_r2
 from mosr.sexpr import parse_sexpr, to_sexpr
 from mosr.trees import (
     StructuralError,
@@ -133,15 +134,16 @@ CACHED_SHAPES = [
 ]
 
 
-class TestPreparedEvaluatorCache:
-    def _data(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(0.0, 3.0, size=(200, 4))
-        X[:5, :] = [[0.0, -0.0, np.inf, -np.inf]] * 5  # log's NaN and ufunc edge cases
-        return X
+def _edge_data():
+    rng = np.random.default_rng(11)
+    X = rng.normal(0.0, 3.0, size=(200, 4))
+    X[:5, :] = [[0.0, -0.0, np.inf, -np.inf]] * 5  # log's NaN and ufunc edge cases
+    return X
 
+
+class TestPreparedEvaluatorCache:
     def test_matches_uncached_bit_for_bit(self):
-        X = self._data()
+        X = _edge_data()
         evaluate = trees.make_matrix_evaluator(X)
         rng = np.random.default_rng(5)
         shapes = [parse_sexpr(text) for text in CACHED_SHAPES]
@@ -155,7 +157,7 @@ class TestPreparedEvaluatorCache:
         assert len(_stored_arrays(evaluate)) == 3 * X.shape[1]
 
     def test_stored_values_are_read_only(self):
-        evaluate = trees.make_matrix_evaluator(self._data())
+        evaluate = trees.make_matrix_evaluator(_edge_data())
         evaluate(parse_sexpr("(+ (sin x0) (log x1))"))
         stored = _stored_arrays(evaluate)
         assert len(stored) == 2
@@ -163,7 +165,7 @@ class TestPreparedEvaluatorCache:
 
     @pytest.mark.parametrize("text", ["(sin x0)", "(cos x1)", "(log x2)", "x3"])
     def test_result_is_a_private_writable_copy(self, text):
-        X = self._data()
+        X = _edge_data()
         evaluate = trees.make_matrix_evaluator(X)
         tree = parse_sexpr(text)
         first = evaluate(tree)
@@ -177,12 +179,85 @@ class TestPreparedEvaluatorCache:
         assert not np.shares_memory(first, again)
 
     def test_input_matrix_stays_writable_and_unchanged(self):
-        X = self._data()
+        X = _edge_data()
         before = X.copy()
         evaluate = trees.make_matrix_evaluator(X)
         evaluate(parse_sexpr("(+ (sin x0) (cos x1) (log x2) x3)"))
         assert X.flags.writeable
         assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
+
+
+# log or sqrt meets a non-positive or negative argument (or a NaN) somewhere
+EXITING = [
+    "(+ (sqrt (- 0 x0)) x0)",
+    "(log x1)",
+    "(* (sqrt x2) (exp x3))",
+    "(log (- x2 x2))",
+    "(+ x0 (sqrt -1))",
+    "(+ x0 (log 0))",
+    "(div 1 (log (square x0)))",
+]
+
+# inf and signed zeros that a NaN-exit must let through: no NaN follows
+NOT_EXITING = [
+    "(div 1 (div 1 x0))",
+    "(exp (- 0 (div 1 x0)))",
+    "(sqrt x0)",
+    "(sqrt (* 1 x0))",
+    "(sqrt (exp x0))",
+    "(div 1 (sqrt (exp x0)))",
+    "(log (exp x0))",
+    "(log (+ 1 (sqrt x0)))",
+]
+
+
+class TestNanExit:
+    def test_objective_and_finite_values_match_exact_evaluation(self):
+        X = _edge_data()
+        exact = trees.make_matrix_evaluator(X)
+        fast = trees.make_matrix_evaluator(X, nan_exit=True)
+        r2 = make_pearson_r2(np.random.default_rng(3).normal(size=X.shape[0]))
+        rng = np.random.default_rng(7)
+        shapes = [parse_sexpr(text) for text in EXITING + NOT_EXITING + CACHED_SHAPES]
+        randoms = [random_tree(rng, n_variables=4, max_length=40) for _ in range(3000)]
+        exits = 0
+        for tree in shapes + randoms:
+            want = exact(tree)
+            got = fast(tree)
+            assert (1.0 - r2(got)).hex() == (1.0 - r2(want)).hex(), to_sexpr(tree)
+            if np.isnan(want).any():
+                assert np.isnan(got).any(), to_sexpr(tree)
+                exits += bool(np.isnan(got).all() and not np.isnan(want).all())
+            else:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), to_sexpr(tree)
+        assert exits > 1000  # the exit fires on the random trees, not just by hand
+
+    @pytest.mark.parametrize("text", EXITING)
+    def test_guaranteed_nan_returns_fresh_all_nan_rows(self, text):
+        X = _edge_data()
+        fast = trees.make_matrix_evaluator(X, nan_exit=True)
+        tree = parse_sexpr(text)
+        assert np.isnan(trees.make_matrix_evaluator(X)(tree)).any()
+        first = fast(tree)
+        assert first.shape == (X.shape[0],) and np.isnan(first).all()
+        assert first.flags.writeable
+        assert not np.shares_memory(first, fast(tree))
+
+    def test_exit_skips_finite_rows_of_the_exact_value(self):
+        X = _edge_data()
+        tree = parse_sexpr("(+ (sqrt (- 0 x0)) x0)")
+        exact = trees.make_matrix_evaluator(X)(tree)
+        assert np.isfinite(exact).any() and np.isnan(exact).any()
+        assert np.isnan(trees.make_matrix_evaluator(X, nan_exit=True)(tree)).all()
+
+    @pytest.mark.parametrize("text", NOT_EXITING)
+    def test_inf_and_signed_zero_do_not_exit(self, text):
+        X = np.array([[0.0], [-0.0], [2.0], [np.inf]])
+        tree = parse_sexpr(text)
+        want = trees.make_matrix_evaluator(X)(tree)
+        got = trees.make_matrix_evaluator(X, nan_exit=True)(tree)
+        assert not np.isnan(want).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestShape:
@@ -202,6 +277,22 @@ class TestShape:
         c = parse_sexpr("(+ x0 2)")
         assert a == b
         assert a != c
+
+    def test_deep_trees_compare_and_replace_without_recursion(self):
+        depth = 3000
+
+        def chain(leaf, top="sin"):
+            return f"({top} " + "(sin " * (depth - 1) + leaf + ")" * depth
+
+        a, b = parse_sexpr(chain("x0")), parse_sexpr(chain("x0"))
+        assert a is not b and a == b
+        assert a != parse_sexpr(chain("x1"))
+        assert a != parse_sexpr(chain("x0", top="cos"))
+        deepest = a.size - 1
+        new = trees.replace_subtree(a, deepest, variable(1))
+        assert new == parse_sexpr(chain("x1"))
+        assert trees.subtree_at(new, deepest) == (variable(1), depth + 1)
+        assert a == b  # the input tree is untouched
 
     def test_function_arity_validation(self):
         with pytest.raises(StructuralError):
