@@ -33,6 +33,13 @@ def _as_pair(pred, actual) -> tuple[np.ndarray, np.ndarray]:
     return p, a
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Dot product summed by numpy itself.  ``u @ v`` goes through BLAS,
+    whose summation order, and so whose last bits, can depend on the
+    number of BLAS threads; this order does not."""
+    return float(np.einsum("i,i->", u, v))
+
+
 def make_pearson_r2(actual) -> Callable[[object], float]:
     """Prepared :func:`pearson_r2` against the fixed target ``actual``.
 
@@ -52,7 +59,7 @@ def make_pearson_r2(actual) -> Callable[[object], float]:
             a_scale = float(np.abs(a_centered).max())
         if 0.0 < a_scale < math.inf:
             an = a_centered / a_scale
-            an_an = float(an @ an)
+            an_an = _dot(an, an)
 
     def r2(pred) -> float:
         p, _ = _as_pair(pred, a)
@@ -68,8 +75,8 @@ def make_pearson_r2(actual) -> Callable[[object], float]:
         # unit-scale both sides so the dot products cannot overflow no matter
         # how wild the prediction magnitudes are; the measure is scale-free
         pn = p_centered / p_scale
-        cov = float(pn @ an)
-        return min(cov * cov / (float(pn @ pn) * an_an), 1.0)
+        cov = _dot(pn, an)
+        return min(cov * cov / (_dot(pn, pn) * an_an), 1.0)
 
     return r2
 
@@ -112,7 +119,7 @@ def fit_linear_scaling(pred, actual) -> tuple[float, float]:
         return 0.0, a_mean
     pn = p_centered / p_scale  # overflow-safe normal equations
     with np.errstate(all="ignore"):
-        slope = float(pn @ (a - a_mean)) / float(pn @ pn) / p_scale
+        slope = _dot(pn, a - a_mean) / _dot(pn, pn) / p_scale
         intercept = a_mean - slope * float(p.mean())
     if not (np.isfinite(slope) and np.isfinite(intercept)):
         return 0.0, a_mean

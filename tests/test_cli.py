@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mosr import cli
@@ -150,6 +151,38 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "keijzer5" in result.stdout
+
+
+def test_experiment_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product over its threads above 10k elements, so
+    # the training rows exceed that; a BLAS dot would move the last bits of
+    # R^2 and of the written NMSE.  On a 1-core machine both runs use one
+    # thread and this proves less.
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, size=(12_000, 3))
+    y = X[:, 0] * X[:, 1] + np.sin(3.0 * X[:, 2]) + rng.normal(0.0, 0.1, 12_000)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack([X, y]), delimiter=",", header="a,b,c,y", comments="")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"data = {data}\ntarget = y\ntrain_fraction = 0.95\nobjective2 = variables\n"
+        "population_size = 20\nmax_evaluations = 200\nrepetitions = 2\nbase_seed = 5\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "mosr.cli", "experiment", "--config", str(cfg),
+             "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(
+            {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+        )
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_config_exits_nonzero(tmp_path, capsys):

@@ -28,8 +28,10 @@ def _reference_pearson_r2(pred, actual) -> float:
         return 0.0
     pn = p_centered / p_scale
     an = a_centered / a_scale
-    cov = float(pn @ an)
-    return min(cov * cov / (float(pn @ pn) * float(an @ an)), 1.0)
+    cov = float(np.einsum("i,i->", pn, an))
+    return min(
+        cov * cov / (float(np.einsum("i,i->", pn, pn)) * float(np.einsum("i,i->", an, an))), 1.0
+    )
 
 
 def _vectors(rng, n):
