@@ -40,9 +40,12 @@ _NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
 def format_constant(value: float) -> str:
-    """Shortest exact decimal for a finite float ("1" rather than "1.0")."""
+    """Shortest exact decimal for a finite float ("1" rather than "1.0",
+    "-0" for negative zero)."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite constant {value!r}")
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return "-0"  # str(int(-0.0)) would drop the sign: 1/-0 is -inf
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

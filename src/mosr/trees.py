@@ -84,7 +84,8 @@ class Node:
             if a.symbol != b.symbol or a.size != b.size:
                 return False
             if not a.children:
-                if a.value != b.value:
+                # a constant by its bits, so 0.0 and -0.0 differ
+                if a.value != b.value if a.symbol == "var" else a.value.hex() != b.value.hex():
                     return False
             else:
                 pairs += zip(a.children, b.children)

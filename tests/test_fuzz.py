@@ -9,7 +9,7 @@ import pytest
 
 from mosr.benchmarks import Dataset, load_csv
 from mosr.sexpr import ParseError, parse_sexpr, to_sexpr
-from mosr.trees import evaluate_matrix, mutate, random_tree
+from mosr.trees import constant, evaluate_matrix, mutate, random_tree, replace_subtree
 
 # characters an edit draws from: the format's own alphabet plus strays
 EDIT_CHARS = "()  x0123456789.-+eE*divsqrtlogcosinexpquare\t\n#,_"
@@ -27,11 +27,19 @@ def _random_trees(rng, count):
     return out
 
 
+def _with_signed_zero(tree, rng):
+    """``tree`` with one random subtree replaced by the constant 0.0 or -0.0."""
+    zero = constant(-0.0 if rng.random() < 0.5 else 0.0)
+    return replace_subtree(tree, int(rng.integers(tree.size)), zero)
+
+
 def test_sexpr_round_trip_is_structural_and_bit_identical():
     rng = np.random.default_rng(41)
     X = rng.normal(0.0, 3.0, size=(50, 3))
     X[:4, :] = [[0.0, -0.0, np.inf], [-np.inf, 0.0, -0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]
-    for tree in _random_trees(rng, 1000):
+    models = _random_trees(rng, 1000)
+    models += [_with_signed_zero(tree, rng) for tree in models[:300]]
+    for tree in models:
         text = to_sexpr(tree)
         again = parse_sexpr(text)
         assert again == tree, text

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mosr.sexpr import ParseError, format_constant, parse_sexpr, to_sexpr
-from mosr.trees import constant, random_tree, variable
+from mosr.trees import constant, evaluate_matrix, random_tree, variable
 
 
 class TestFormatting:
@@ -10,6 +10,15 @@ class TestFormatting:
         assert to_sexpr(constant(1.0)) == "1"
         assert to_sexpr(constant(-3.0)) == "-3"
         assert to_sexpr(constant(0.0)) == "0"
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert format_constant(-0.0) == "-0"
+        tree = parse_sexpr("(div 1 -0.0)")
+        assert to_sexpr(tree) == "(div 1 -0)"
+        assert parse_sexpr(to_sexpr(tree)) == tree
+        assert tree != parse_sexpr("(div 1 0)")
+        assert constant(-0.0) != constant(0.0)
+        assert evaluate_matrix(parse_sexpr(to_sexpr(tree)), np.zeros((1, 1)))[0] == -np.inf
 
     def test_fractional_constants_roundtrip_exactly(self):
         for v in (0.1, -2.5, 3.141592653589793, 1e-7, 12345.6789, 1e20, -1e300):
