@@ -223,6 +223,78 @@ _CACHED_UNARY = frozenset(("sin", "cos", "log"))
 # both tests, so an argument that already holds a NaN fails too.
 _DOMAIN_TEST: dict[str, Callable] = {"log": np.greater, "sqrt": np.greater_equal}
 
+# The NaN probe: rows it holds, and the fewest rows of X at which it saves
+# more than it costs.
+_PROBE_ROWS = 32
+_PROBE_MIN_ROWS = 2048
+
+
+def _read_only_columns(X: np.ndarray) -> list[np.ndarray]:
+    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def _probe_rows(n_rows: int) -> np.ndarray:
+    """Spread evenly from the first row to the last, so a sorted ``X`` is
+    covered end to end."""
+    return np.linspace(0, n_rows - 1, _PROBE_ROWS).astype(np.intp)
+
+
+def _make_fold(cols: list[np.ndarray], unary: dict, domain_test: dict) -> Callable:
+    """Value-stack fold of a :func:`postorder` node list over the columns
+    ``cols``.  The fold returns the tree's value (a scalar, a column or a
+    stored array included), or None at the first failed domain test."""
+    n_cols = len(cols)
+    binary = _BINARY_IMPL
+    # symbol -> that function of each column, filled in on first use
+    column_values: dict[str, list] = {s: [None] * n_cols for s in _CACHED_UNARY}
+    # symbol -> whether each column passes its domain test
+    column_in_domain = {
+        s: [bool(test(col, 0.0).all()) for col in cols] for s, test in domain_test.items()
+    }
+
+    def fold(order: list[Node]):
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        for node in order:
+            kids = node.children
+            if not kids:
+                push(cols[node.value] if node.symbol == "var" else node.value)
+            elif len(kids) == 1:
+                symbol = node.symbol
+                arg = pop()
+                test = domain_test.get(symbol)
+                if kids[0].symbol == "var":
+                    j = kids[0].value
+                    if test is not None and not column_in_domain[symbol][j]:
+                        return None
+                    stored = column_values.get(symbol)
+                    if stored is not None:
+                        if stored[j] is None:
+                            stored[j] = unary[symbol](arg)
+                            stored[j].flags.writeable = False
+                        push(stored[j])
+                        continue
+                elif test is not None and not test(arg, 0.0).all():
+                    return None
+                push(unary[symbol](arg))
+            elif len(kids) == 2:  # the common case, kept off the slicing path
+                right = pop()
+                push(binary[node.symbol](pop(), right))
+            else:  # n-ary: fold left to right
+                fold_op = binary[node.symbol]
+                args = stack[-len(kids):]
+                del stack[-len(kids):]
+                acc = args[0]
+                for value in args[1:]:
+                    acc = fold_op(acc, value)
+                push(acc)
+        return pop()
+
+    return fold
+
 
 def make_matrix_evaluator(
     X: np.ndarray, *, nan_exit: bool = False
@@ -240,72 +312,48 @@ def make_matrix_evaluator(
     reuse it: the same function of the same column, so outputs are
     bit-identical.  The store holds at most three times ``X``'s size.
 
-    With ``nan_exit``, a tree whose ``log`` argument is not positive, or
-    whose ``sqrt`` argument is negative, in some row (or NaN there) is not
-    evaluated further: the callable returns all-NaN rows.  Every operator
-    maps a NaN operand to NaN, so such a tree's exact value holds a NaN in
-    that row too, and a score that takes any non-finite prediction as the
-    worst case, like Pearson R^2, is the same either way.  Inf does not
-    exit: ``1/inf`` and ``exp(-inf)`` are finite.
+    With ``nan_exit``, the callable returns all-NaN rows for some trees
+    whose exact value holds a NaN in some row, without evaluating them in
+    full.  A score that takes any non-finite prediction as the worst case,
+    like Pearson R^2, is the same either way.  Such a tree is one whose
+    ``log`` argument is not positive, or whose ``sqrt`` argument is
+    negative, in some row (or NaN there): every operator maps a NaN operand
+    to NaN.  Inf does not exit: ``1/inf`` and ``exp(-inf)`` are finite.
+    From ``_PROBE_MIN_ROWS`` rows on, a tree holding a ``log`` or ``sqrt``
+    is first evaluated on ``_PROBE_ROWS`` rows spread evenly over ``X``;
+    a failed domain test or a NaN there ends it as well.  Every operator
+    is elementwise, so a probe row is bit-equal to that row of the full
+    evaluation.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d (rows x variables)")
     n_rows, n_cols = X.shape
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(n_cols)]
-    for col in cols:
-        col.flags.writeable = False
-    # symbol -> that function of each column, filled in on first use
-    column_values: dict[str, list] = {s: [None] * n_cols for s in _CACHED_UNARY}
     domain_test = _DOMAIN_TEST if nan_exit else {}
-    # symbol -> whether each column passes its domain test
-    column_in_domain = {
-        s: [bool(test(col, 0.0).all()) for col in cols] for s, test in domain_test.items()
-    }
+    # a log argument that passed its domain test needs no masking: np.log
+    # of it is bit-equal to _log_nonpositive_nan
+    unary = dict(_UNARY_IMPL, log=np.log) if nan_exit else _UNARY_IMPL
+    fold = _make_fold(_read_only_columns(X), unary, domain_test)
+    probe = None
+    if nan_exit and n_rows >= _PROBE_MIN_ROWS:
+        probe = _make_fold(_read_only_columns(X[_probe_rows(n_rows)]), unary, domain_test)
 
     def evaluate_tree(tree: Node) -> np.ndarray:
         if tree.max_var >= n_cols:
             raise StructuralError(
                 f"tree uses variable x{tree.max_var} but data has {n_cols} columns"
             )
-        unary, binary = _UNARY_IMPL, _BINARY_IMPL
-        stack: list = []
-        push, pop = stack.append, stack.pop
+        order = postorder(tree)
         with np.errstate(all="ignore"):
-            for node in postorder(tree):
-                kids = node.children
-                if not kids:
-                    push(cols[node.value] if node.symbol == "var" else node.value)
-                elif len(kids) == 1:
-                    symbol = node.symbol
-                    arg = pop()
-                    test = domain_test.get(symbol)
-                    if kids[0].symbol == "var":
-                        j = kids[0].value
-                        if test is not None and not column_in_domain[symbol][j]:
-                            return np.full(n_rows, np.nan)
-                        stored = column_values.get(symbol)
-                        if stored is not None:
-                            if stored[j] is None:
-                                stored[j] = unary[symbol](arg)
-                                stored[j].flags.writeable = False
-                            push(stored[j])
-                            continue
-                    elif test is not None and not test(arg, 0.0).all():
-                        return np.full(n_rows, np.nan)
-                    push(unary[symbol](arg))
-                elif len(kids) == 2:  # the common case, kept off the slicing path
-                    right = pop()
-                    push(binary[node.symbol](pop(), right))
-                else:  # n-ary: fold left to right
-                    fold = binary[node.symbol]
-                    args = stack[-len(kids):]
-                    del stack[-len(kids):]
-                    acc = args[0]
-                    for value in args[1:]:
-                        acc = fold(acc, value)
-                    push(acc)
-        out = pop()
+            if probe is not None and not domain_test.keys().isdisjoint(
+                node.symbol for node in order
+            ):
+                out = probe(order)
+                if out is None or np.isnan(out).any():
+                    return np.full(n_rows, np.nan)
+            out = fold(order)
+        if out is None:
+            return np.full(n_rows, np.nan)
         if np.ndim(out) == 0:
             return np.full(n_rows, float(out))
         if not out.flags.writeable:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mosr import trees
+from mosr import benchmarks, trees
 from mosr.metrics import make_pearson_r2
 from mosr.sexpr import parse_sexpr, to_sexpr
 from mosr.trees import (
@@ -111,10 +111,13 @@ def _uncached(tree, X):
     return np.array(out, dtype=float)
 
 
+def _closure(fn):
+    return {name: cell.cell_contents for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
 def _stored_arrays(evaluator):
-    """The column values a prepared evaluator has stored so far."""
-    cells = dict(zip(evaluator.__code__.co_freevars, evaluator.__closure__))
-    stored = cells["column_values"].cell_contents
+    """The column values a prepared evaluator's full-row fold has stored so far."""
+    stored = _closure(_closure(evaluator)["fold"])["column_values"]
     return [a for per_column in stored.values() for a in per_column if a is not None]
 
 
@@ -258,6 +261,148 @@ class TestNanExit:
         got = trees.make_matrix_evaluator(X, nan_exit=True)(tree)
         assert not np.isnan(want).any()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _probe_data(n):
+    """``n`` rows: a positive column, two that change sign and one that is
+    positive but for one row, with 0.0, -0.0 and +-inf in a few rows."""
+    rng = np.random.default_rng(13)
+    X = np.column_stack(
+        [
+            rng.uniform(0.5, 3.0, n),
+            rng.normal(0.0, 3.0, n),
+            rng.uniform(-1.0, 1.0, n),
+            rng.uniform(0.1, 2.0, n),
+        ]
+    )
+    X[rng.integers(n, size=12), 1] = rng.choice([0.0, -0.0, np.inf, -np.inf], 12)
+    X[n // 2 + 1, 3] = -1.0
+    return X
+
+
+def _premise_values(rng, n):
+    """Magnitudes from subnormal to 1e300 of both signs, normal values,
+    and signed zeros, infinities, NaN and the extremes of the float range."""
+    values = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-323.0, 300.0, n)
+    values[::3] = rng.normal(0.0, 3.0, values[::3].size)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e300, -1e300, 1.7976931348623157e308]
+    values[rng.choice(n, size=8 * len(specials), replace=False)] = specials * 8
+    return values
+
+
+def _row_sets(n, rng):
+    """The probe's own rows and row sets of other sizes, none a multiple of 8."""
+    yield trees._probe_rows(n)
+    for size in (1, 7, 31, 33, 333):
+        yield np.sort(rng.choice(n, size=size, replace=False))
+    yield np.arange(3, n, 129)
+
+
+class TestNanProbe:
+    def test_premise_a_row_of_a_function_does_not_depend_on_the_other_rows(self):
+        rng = np.random.default_rng(19)
+        n = 4097
+        x, y = _premise_values(rng, n), _premise_values(rng, n)
+        unary = dict(trees._UNARY_IMPL, **{"log in domain": np.log})
+        with np.errstate(all="ignore"):
+            for rows in _row_sets(n, rng):
+                for name, f in unary.items():
+                    got, want = f(x[rows]), f(x)[rows]
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+                for name, f in trees._BINARY_IMPL.items():
+                    for a, b, a_rows, b_rows in [
+                        (x, y, x[rows], y[rows]),
+                        (x, -2.5, x[rows], -2.5),
+                        (0.0, y, 0.0, y[rows]),
+                    ]:
+                        got, want = f(a_rows, b_rows), f(a, b)[rows]
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+    def test_objectives_match_the_unprobed_evaluator(self, monkeypatch):
+        X = _probe_data(4 * trees._PROBE_MIN_ROWS + 1)
+        r2 = make_pearson_r2(np.random.default_rng(3).normal(size=X.shape[0]))
+        exact = trees.make_matrix_evaluator(X)
+        probe_ends = []  # per probed tree: did the probe end it?
+        make_fold = trees._make_fold
+
+        def counting_make_fold(cols, *args):
+            fold = make_fold(cols, *args)
+            if len(cols[0]) != trees._PROBE_ROWS:
+                return fold
+
+            def probe(order):
+                out = fold(order)
+                probe_ends.append(out is None or bool(np.isnan(out).any()))
+                return out
+
+            return probe
+
+        monkeypatch.setattr(trees, "_make_fold", counting_make_fold)
+        probed = trees.make_matrix_evaluator(X, nan_exit=True)
+        monkeypatch.setattr(trees, "_PROBE_MIN_ROWS", X.shape[0] + 1)
+        unprobed = trees.make_matrix_evaluator(X, nan_exit=True)
+        assert _closure(probed)["probe"] is not None and _closure(unprobed)["probe"] is None
+        rng = np.random.default_rng(23)
+        shapes = [parse_sexpr(text) for text in EXITING + NOT_EXITING + CACHED_SHAPES]
+        randoms = [random_tree(rng, n_variables=4, max_length=40) for _ in range(3000)]
+        for tree in shapes + randoms:
+            want = unprobed(tree)
+            got = probed(tree)
+            assert (1.0 - r2(got)).hex() == (1.0 - r2(want)).hex(), to_sexpr(tree)
+            full = exact(tree)
+            if np.isnan(full).any():
+                assert np.isnan(got).any(), to_sexpr(tree)
+            else:
+                assert np.array_equal(got.view(np.uint64), full.view(np.uint64)), to_sexpr(tree)
+        # only trees holding a log or sqrt are probed, and the probe ends many
+        assert len(probe_ends) < len(shapes + randoms)
+        assert sum(probe_ends) > 1000, (sum(probe_ends), len(probe_ends))
+
+    @pytest.mark.parametrize(
+        "text", ["(log (+ x3 0))", "(sqrt (* x3 1))", "(+ x0 (sqrt (div x3 2)))"]
+    )
+    def test_nan_outside_the_probe_still_exits_in_full(self, text):
+        X = _probe_data(trees._PROBE_MIN_ROWS + 1)
+        evaluate = trees.make_matrix_evaluator(X, nan_exit=True)
+        rows = trees._probe_rows(X.shape[0])
+        bad = np.flatnonzero(np.isnan(trees.make_matrix_evaluator(X)(parse_sexpr(text))))
+        assert bad.size and not np.isin(bad, rows).any()  # the probe cannot see it
+        out = evaluate(parse_sexpr(text))
+        assert np.isnan(out).all() and out.flags.writeable
+
+    def test_trees_without_log_or_sqrt_are_not_probed(self):
+        # 0 * (1/0) is NaN in a probe row, yet the exact value is returned
+        X = np.ones((trees._PROBE_MIN_ROWS, 1))
+        X[0, 0] = 0.0
+        tree = parse_sexpr("(* x0 (div 1 x0))")
+        got = trees.make_matrix_evaluator(X, nan_exit=True)(tree)
+        assert np.isnan(got[0]) and (got[1:] == 1.0).all()
+
+    def test_probe_rows_span_the_data(self):
+        rows = trees._probe_rows(4097)
+        assert rows[0] == 0 and rows[-1] == 4096  # a sorted X is covered end to end
+        assert len(np.unique(rows)) == trees._PROBE_ROWS
+        assert np.abs(np.diff(rows) - 4096 / (trees._PROBE_ROWS - 1)).max() < 1.0
+
+    def test_gate(self):
+        # the built-in problems' training sets keep the unprobed path
+        assert max(spec.train_size for spec in benchmarks.list_problems()) < trees._PROBE_MIN_ROWS
+        for n_rows, nan_exit, probed in [
+            (trees._PROBE_MIN_ROWS - 1, True, False),
+            (trees._PROBE_MIN_ROWS, True, True),
+            (trees._PROBE_MIN_ROWS, False, False),
+        ]:
+            evaluate = trees.make_matrix_evaluator(np.ones((n_rows, 1)), nan_exit=nan_exit)
+            assert (_closure(evaluate)["probe"] is not None) == probed
+
+    def test_log_of_a_positive_argument_needs_no_masking(self):
+        rng = np.random.default_rng(17)
+        arg = 10.0 ** rng.uniform(-323.0, 300.0, 15_001)
+        arg[:4] = [np.inf, 5e-324, 1.0, 1.7976931348623157e308]
+        assert (arg > 0.0).all()
+        want = trees._log_nonpositive_nan(arg)
+        assert np.array_equal(np.log(arg).view(np.uint64), want.view(np.uint64))
 
 
 class TestShape:
