@@ -28,10 +28,12 @@ def _reference_pearson_r2(pred, actual) -> float:
         return 0.0
     pn = p_centered / p_scale
     an = a_centered / a_scale
-    cov = float(np.einsum("i,i->", pn, an))
-    return min(
-        cov * cov / (float(np.einsum("i,i->", pn, pn)) * float(np.einsum("i,i->", an, an))), 1.0
-    )
+
+    def dot(u, v):  # numpy's own summation, as the library's, not BLAS
+        return float(np.einsum("i,i->", u, v))
+
+    cov = dot(pn, an)
+    return min(cov * cov / (dot(pn, pn) * dot(an, an)), 1.0)
 
 
 def _vectors(rng, n):
