@@ -9,8 +9,6 @@ from .complexity import (
     figure_consistent_rule_table,
     make_measure,
     recursive_complexity,
-    variable_count,
-    visitation_length,
 )
 from .data import Dataset
 from .harness import (
@@ -108,6 +106,4 @@ __all__ = [
     "to_sexpr",
     "tournament_select",
     "variable",
-    "variable_count",
-    "visitation_length",
 ]

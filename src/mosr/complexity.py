@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, iter_nodes, postorder
+from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, postorder
 
 _INF = float("inf")
 
@@ -217,16 +217,6 @@ def recursive_complexity(tree: Node, rules: ComplexityRuleTable) -> float:
     return stack[0]
 
 
-def variable_count(tree: Node) -> int:
-    """Variable-node occurrences."""
-    return sum(1 for n in iter_nodes(tree) if n.symbol == "var")
-
-
-def visitation_length(tree: Node) -> int:
-    """Sum of subtree sizes over all nodes."""
-    return sum(n.size for n in iter_nodes(tree))
-
-
 MEASURES = ("variables", "tree_length", "visitation_length", "complexity")
 
 
@@ -235,11 +225,11 @@ def make_measure(
 ) -> Callable[[Node], float]:
     """Objective function for one measure name (see :data:`MEASURES`)."""
     if name == "variables":
-        return lambda tree: float(variable_count(tree))
+        return lambda tree: float(tree.n_var)
     if name == "tree_length":
         return lambda tree: float(tree.size)
     if name == "visitation_length":
-        return lambda tree: float(visitation_length(tree))
+        return lambda tree: float(sum(n.size for n in postorder(tree)))
     if name == "complexity":
         table = rule_table if rule_table is not None else default_rule_table()
         for symbol in BINARY_SYMBOLS + UNARY_SYMBOLS:

@@ -335,6 +335,8 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         measure = make_measure(config.objective2, table)
         fit_rows, val_rows = _split_validation(dataset.train_rows, config.validation_fraction)
         y_fit = dataset.target[fit_rows]
+        if y_fit.size < 2:  # np.var of fewer rows warns or reads 0 for any target
+            raise ConfigError(f"a run needs at least 2 training rows to fit on, got {y_fit.size}")
         if float(np.var(y_fit)) == 0.0:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows

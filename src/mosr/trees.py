@@ -4,13 +4,16 @@ A tree is represented by its root :class:`Node`.  Nodes are immutable after
 construction, so subtrees are shared freely between trees; crossover and
 mutation rebuild only the path from the root to the replaced subtree.
 
-Node positions are pre-order indices (root = 0).  :func:`iter_nodes` walks
-every node in that order; :func:`subtree_at` descends to one position
-through the cached subtree sizes and also reports its depth.
-:func:`postorder` lists every node after its children, the order in which
-the evaluator, the complexity measure and the writer fold a value stack
-without recursion.  Length and depth are the cached ``Node.size`` and
-``Node.height``.
+Node positions are pre-order indices (root = 0).  Each node caches its
+subtree's size, height and variable and constant counts, so the ``k``-th
+node of a kind (any node, a function, a leaf, a constant or a variable) is
+found by one descent from the root that skips each child subtree holding
+``k`` or fewer such nodes (``k`` counts from 0); no walk lists the tree.  Crossover and
+mutation draw ``k`` uniformly from the count of the kind they vary and
+rebuild only the path the descent took.  :func:`postorder` lists every
+node after its children, the order in which the evaluator, the complexity
+measure and the writer fold a value stack without recursion.  Length and
+depth are the cached ``Node.size`` and ``Node.height``.
 
 There is one evaluator: :func:`make_matrix_evaluator` prepares the columns
 of a matrix once and returns a callable that scores trees on them;
@@ -32,7 +35,7 @@ to be penalised by the fitness function, not masked here.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,24 +59,36 @@ class Node:
 
     ``symbol`` is ``"const"``, ``"var"`` or a function symbol.  ``value``
     holds the constant value or the 0-based variable index.  ``size``,
-    ``height`` and ``max_var`` are cached at construction so length checks,
-    depth checks and evaluation preconditions are O(1).
+    ``height``, ``max_var`` and the variable and constant counts ``n_var``
+    and ``n_const`` are cached at construction, so length and depth checks,
+    evaluation preconditions and node counts are O(1): the subtree holds
+    ``size - n_var - n_const`` function nodes and ``n_var + n_const`` leaves.
     """
 
-    __slots__ = ("symbol", "value", "children", "size", "height", "max_var")
+    __slots__ = ("symbol", "value", "children", "size", "height", "max_var", "n_var", "n_const")
 
     def __init__(self, symbol: str, value, children: tuple["Node", ...]):
         self.symbol = symbol
         self.value = value
         self.children = children
         if children:
-            self.size = 1 + sum(c.size for c in children)
-            self.height = 1 + max(c.height for c in children)
-            self.max_var = max(c.max_var for c in children)
+            size, height, max_var, n_var, n_const = 1, 0, -1, 0, 0
+            for c in children:
+                size += c.size
+                if c.height > height:
+                    height = c.height
+                if c.max_var > max_var:
+                    max_var = c.max_var
+                n_var += c.n_var
+                n_const += c.n_const
+            self.size, self.height, self.max_var = size, height + 1, max_var
+            self.n_var, self.n_const = n_var, n_const
+        elif symbol == "var":
+            self.size = self.height = self.n_var = 1
+            self.n_const, self.max_var = 0, value
         else:
-            self.size = 1
-            self.height = 1
-            self.max_var = value if symbol == "var" else -1
+            self.size = self.height = self.n_const = 1
+            self.n_var, self.max_var = 0, -1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Node):
@@ -124,15 +139,6 @@ def function(symbol: str, children: Sequence[Node]) -> Node:
     return Node(symbol, None, kids)
 
 
-def iter_nodes(tree: Node) -> Iterator[Node]:
-    """Pre-order traversal of all nodes."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
 def postorder(tree: Node) -> list[Node]:
     """All nodes, each after its children and children left to right.
 
@@ -150,22 +156,54 @@ def postorder(tree: Node) -> list[Node]:
     return order
 
 
-def _descend(tree: Node, index: int) -> tuple[Node, list[tuple[Node, int]]]:
-    """Subtree at pre-order position ``index`` and the path to it: each
-    ancestor, root first, with the position of the child taken."""
-    if not 0 <= index < tree.size:
-        raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
+Path = list[tuple[Node, int]]  # each ancestor, root first, and the position of the child taken
+
+# Nodes of each kind in a subtree, read from its cached counts.
+_COUNT: dict[str | None, Callable[[Node], int]] = {
+    None: lambda n: n.size,
+    "function": lambda n: n.size - n.n_var - n.n_const,
+    "leaf": lambda n: n.n_var + n.n_const,
+    "const": lambda n: n.n_const,
+    "var": lambda n: n.n_var,
+}
+
+
+def _descend(tree: Node, index: int, kind: str | None = None) -> tuple[Node, Path]:
+    """The ``index``-th node of ``kind`` in pre-order (``None``: any node)
+    and the path to it.  One descent: a child subtree holding no more than
+    ``index`` nodes of the kind is skipped by its cached count."""
+    count = _COUNT[kind]
+    if not 0 <= index < count(tree):
+        raise IndexError(f"{kind or 'node'} index {index} out of range, tree has {count(tree)}")
+    counts_functions = kind is None or kind == "function"
     node = tree
-    path: list[tuple[Node, int]] = []
-    while index > 0:
-        index -= 1
+    path: Path = []
+    # a leaf reached here is the one node of the kind left, so index is 0
+    while node.children:
+        if counts_functions:
+            if index == 0:
+                break
+            index -= 1
         for k, child in enumerate(node.children):
-            if index < child.size:
+            n = count(child)
+            if index < n:
                 path.append((node, k))
                 node = child
                 break
-            index -= child.size
+            index -= n
     return node, path
+
+
+def _rebuild(path: Path, replacement: Node) -> Node:
+    """The tree with the end of ``path`` (from :func:`_descend`) replaced.
+
+    Only the path from the root is rebuilt; untouched subtrees are shared
+    with the input tree.
+    """
+    for parent, k in reversed(path):
+        kids = parent.children
+        replacement = Node(parent.symbol, parent.value, kids[:k] + (replacement,) + kids[k + 1:])
+    return replacement
 
 
 def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
@@ -176,16 +214,8 @@ def subtree_at(tree: Node, index: int) -> tuple[Node, int]:
 
 
 def replace_subtree(tree: Node, index: int, replacement: Node) -> Node:
-    """New tree with the subtree at pre-order position ``index`` replaced.
-
-    Only the path from the root is rebuilt; untouched subtrees are shared
-    with the input tree.
-    """
-    _, path = _descend(tree, index)
-    for parent, k in reversed(path):
-        kids = parent.children
-        replacement = Node(parent.symbol, parent.value, kids[:k] + (replacement,) + kids[k + 1:])
-    return replacement
+    """New tree with the subtree at pre-order position ``index`` replaced."""
+    return _rebuild(_descend(tree, index)[1], replacement)
 
 
 # --- evaluation ---------------------------------------------------------
@@ -449,82 +479,50 @@ def crossover(
     ``max_length`` or ``max_depth``; after that the unmodified ``parent1``
     is returned (nodes are immutable, so sharing is safe).
     """
-    nodes = list(iter_nodes(parent1))
-    internal: list[int] = []
-    leaves: list[int] = []
-    for i, node in enumerate(nodes):
-        (internal if node.children else leaves).append(i)
-    for _ in range(10):
-        if internal and rng.random() < 0.9:
-            cut = internal[int(rng.integers(len(internal)))]
-        else:  # rng.integers(1) consumes no random bits: a leaf parent costs no draw
-            cut = leaves[int(rng.integers(len(leaves)))]
-        donor, _ = subtree_at(parent2, int(rng.integers(parent2.size)))
+    for _ in range(10):  # a tree has internal nodes exactly when its root is one
+        kind = "function" if parent1.children and rng.random() < 0.9 else "leaf"
+        # rng.integers(1) consumes no random bits: a leaf parent costs no draw
+        cut, path = _descend(parent1, int(rng.integers(_COUNT[kind](parent1))), kind)
+        donor, _ = _descend(parent2, int(rng.integers(parent2.size)))
         if (
-            parent1.size - nodes[cut].size + donor.size <= max_length
-            and subtree_at(parent1, cut)[1] - 1 + donor.height <= max_depth
+            parent1.size - cut.size + donor.size <= max_length
+            and len(path) + donor.height <= max_depth
         ):
-            return replace_subtree(parent1, cut, donor)
+            return _rebuild(path, donor)
     return parent1
 
 
-Site = tuple[int, Node]  # a node and its pre-order index
+_POINT_KINDS = ("function", "const", "var")
 
 
-def _sites(tree: Node) -> dict[str, list[Site]]:
-    """Function, constant and variable nodes of ``tree``, keyed ``"function"``,
-    ``"const"`` and ``"var"``, each in pre-order; one walk."""
-    sites: dict[str, list[Site]] = {"function": [], "const": [], "var": []}
-    for i, node in enumerate(iter_nodes(tree)):
-        sites["function" if node.children else node.symbol].append((i, node))
-    return sites
+def mutate_point(tree: Node, rng: np.random.Generator, kind: str, n_variables: int) -> Node:
+    """Change one uniformly chosen node of ``kind``, keeping the tree's shape.
 
-
-def _swap_symbol(tree: Node, rng: np.random.Generator, sites: list[Site]) -> Node:
-    if not sites:
+    ``"function"``: swap its symbol for a different one of the same arity.
+    ``"const"``: add N(0, 1) jitter to its value.  ``"var"``: reassign it to
+    a different index below ``n_variables`` (kept when there is only one).
+    A tree without such a node is returned unchanged, with no draw.
+    """
+    if kind not in _POINT_KINDS:
+        raise ValueError(f"unknown point mutation kind {kind!r} (choose from {_POINT_KINDS})")
+    n = _COUNT[kind](tree)
+    if not n:
         return tree
-    idx, node = sites[int(rng.integers(len(sites)))]
-    pool = UNARY_SYMBOLS if node.symbol in UNARY_SYMBOLS else BINARY_SYMBOLS
-    options = [s for s in pool if s != node.symbol]
-    symbol = options[int(rng.integers(len(options)))]
-    return replace_subtree(tree, idx, Node(symbol, None, node.children))
-
-
-def _jitter_constant(tree: Node, rng: np.random.Generator, sites: list[Site]) -> Node:
-    if not sites:
-        return tree
-    idx, node = sites[int(rng.integers(len(sites)))]
-    return replace_subtree(tree, idx, constant(node.value + rng.normal(0.0, 1.0)))
-
-
-def _swap_variable(
-    tree: Node, rng: np.random.Generator, sites: list[Site], n_variables: int
-) -> Node:
-    if not sites:
-        return tree
-    idx, node = sites[int(rng.integers(len(sites)))]
-    if n_variables > 1:
-        new_index = int(rng.integers(n_variables - 1))
-        if new_index >= node.value:
-            new_index += 1
+    node, path = _descend(tree, int(rng.integers(n)), kind)
+    if kind == "function":
+        pool = UNARY_SYMBOLS if node.symbol in UNARY_SYMBOLS else BINARY_SYMBOLS
+        options = [s for s in pool if s != node.symbol]
+        new = Node(options[int(rng.integers(len(options)))], None, node.children)
+    elif kind == "const":
+        new = constant(node.value + rng.normal(0.0, 1.0))
     else:
-        new_index = node.value
-    return replace_subtree(tree, idx, variable(new_index))
-
-
-def mutate_symbol(tree: Node, rng: np.random.Generator) -> Node:
-    """Swap one function node's symbol for a different same-arity symbol."""
-    return _swap_symbol(tree, rng, _sites(tree)["function"])
-
-
-def mutate_constant(tree: Node, rng: np.random.Generator) -> Node:
-    """Additive N(0, 1) jitter on one uniformly chosen constant."""
-    return _jitter_constant(tree, rng, _sites(tree)["const"])
-
-
-def mutate_variable(tree: Node, rng: np.random.Generator, n_variables: int) -> Node:
-    """Reassign one uniformly chosen variable node to a different index."""
-    return _swap_variable(tree, rng, _sites(tree)["var"], n_variables)
+        index = node.value
+        if n_variables > 1:
+            index = int(rng.integers(n_variables - 1))
+            if index >= node.value:
+                index += 1
+        new = variable(index)
+    return _rebuild(path, new)
 
 
 def mutate_subtree(
@@ -536,12 +534,11 @@ def mutate_subtree(
 ) -> Node:
     """Replace one uniformly chosen subtree with a fresh random tree whose
     length and depth budgets keep the whole tree inside both caps."""
-    idx = int(rng.integers(tree.size))
-    old, at_depth = subtree_at(tree, idx)
+    old, path = _descend(tree, int(rng.integers(tree.size)))
     budget_length = max(1, max_length - tree.size + old.size)
-    budget_depth = max(1, max_depth - at_depth + 1)
+    budget_depth = max(1, max_depth - len(path))
     fresh = random_tree(rng, n_variables, budget_length, budget_depth)
-    return replace_subtree(tree, idx, fresh)
+    return _rebuild(path, fresh)
 
 
 def mutate(
@@ -557,15 +554,10 @@ def mutate(
     jitter (sigma = 1) on one constant, (c) variable-index swap, (d)
     replacement of a random subtree by a fresh random tree sized to keep
     both caps.  Modes whose node kind is absent from the tree are excluded
-    from the draw; (d) always applies.
+    from the draw; (d) always applies.  (a)-(c) are :func:`mutate_point`.
     """
-    sites = _sites(tree)
-    modes = ["subtree"] + [kind for kind in ("function", "const", "var") if sites[kind]]
+    modes = ["subtree"] + [kind for kind in _POINT_KINDS if _COUNT[kind](tree)]
     mode = modes[int(rng.integers(len(modes)))]
-    if mode == "function":
-        return _swap_symbol(tree, rng, sites[mode])
-    if mode == "const":
-        return _jitter_constant(tree, rng, sites[mode])
-    if mode == "var":
-        return _swap_variable(tree, rng, sites[mode], n_variables)
-    return mutate_subtree(tree, rng, n_variables, max_length, max_depth)
+    if mode == "subtree":
+        return mutate_subtree(tree, rng, n_variables, max_length, max_depth)
+    return mutate_point(tree, rng, mode, n_variables)

@@ -73,6 +73,30 @@ def test_run_rejects_nan_target(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("fraction, rows", [("0", 0), ("0.1", 0), ("0.3", 1)])
+def test_run_rejects_too_few_training_rows(tmp_path, capsys, fraction, rows):
+    # 0.1 of 4 rows rounds to 0; np.var of no rows would warn and miss it
+    data = tmp_path / "tiny.csv"
+    data.write_text("x1,y\n1,2\n2,5\n3,6\n4,9\n")
+    code = main(
+        [
+            "run",
+            "--data", str(data),
+            "--target", "y",
+            "--train-fraction", fraction,
+            "--pop", "12",
+            "--evals", "60",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: run failed (tiny, seed 0): "
+        f"a run needs at least 2 training rows to fit on, got {rows}\n"
+    )
+
+
 def test_eval_scores_saved_model(tmp_path, capsys):
     data = str(tmp_path / "d.csv")
     with open(data, "w") as fh:

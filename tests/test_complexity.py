@@ -12,14 +12,16 @@ from mosr.complexity import (
     make_measure,
     recursive_complexity,
     rule_from_string,
-    variable_count,
-    visitation_length,
 )
 from mosr.sexpr import parse_sexpr
-from mosr.trees import constant, iter_nodes, random_tree, replace_subtree, variable
+from mosr.trees import constant, random_tree, replace_subtree, subtree_at, variable
 
 F1 = "(exp (sin (sqrt x0)))"
 F2 = "(+ (* 7 (square x0)) (* 3 x0) 5)"
+
+
+variable_count = make_measure("variables")
+visitation_length = make_measure("visitation_length")
 
 
 class TestCounts:
@@ -27,14 +29,13 @@ class TestCounts:
         assert variable_count(parse_sexpr(F1)) == 1
         assert variable_count(parse_sexpr(F2)) == 2
         assert variable_count(constant(4.0)) == 0
+        assert parse_sexpr(F2).n_var == 2
 
     def test_variable_count_distinct_option(self):
-        # a repeated variable counts once per occurrence; there is no
-        # option to count distinct variables instead
+        # a repeated variable counts once per occurrence
         tree = parse_sexpr("(+ x0 x0 x1)")
         assert variable_count(tree) == 3
-        with pytest.raises(TypeError):
-            variable_count(tree, distinct=True)
+        assert tree.n_var == 3
 
     def test_tree_length_measure(self):
         tree_length = make_measure("tree_length")
@@ -53,7 +54,7 @@ class TestCounts:
             def size(n):
                 return 1 + sum(size(c) for c in n.children)
 
-            return sum(size(n) for n in iter_nodes(node))
+            return size(node) + sum(brute(c) for c in node.children)
 
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -161,7 +162,7 @@ class TestRecursiveComplexity:
         for _ in range(150):
             tree = random_tree(rng, n_variables=2, max_length=25)
             const_positions = [
-                i for i, n in enumerate(iter_nodes(tree)) if n.symbol == "const"
+                i for i in range(tree.size) if subtree_at(tree, i)[0].symbol == "const"
             ]
             base = recursive_complexity(tree, table)
             for pos in const_positions:

@@ -464,6 +464,77 @@ class TestShape:
         assert to_sexpr(tree) == "(+ (sin x0) (cos x1))"
 
 
+def _preorder(tree):
+    """Reference walk: every node in pre-order with its path from the root
+    (each ancestor, root first, with the position of the child taken)."""
+    stack = [(tree, [])]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        for k in reversed(range(len(node.children))):
+            stack.append((node.children[k], path + [(node, k)]))
+
+
+def _reference_sites(tree):
+    """Reference lists: the nodes of each kind in pre-order, with paths."""
+    sites = {None: [], "function": [], "leaf": [], "const": [], "var": []}
+    for node, path in _preorder(tree):
+        sites[None].append((node, path))
+        sites["function" if node.children else "leaf"].append((node, path))
+        if not node.children:
+            sites[node.symbol].append((node, path))
+    return sites
+
+
+NARY_TREES = (
+    "(+ x0 x1 x2 (* 1 2 x0))",
+    "(- x0 (div 1 x1 x2 3) (sin x0) 4)",
+    "(* (+ 1 2 3 4) x2 (- x1 x0 x2))",
+    "x1",
+    "-0.0",
+)
+
+
+def _descent_cases():
+    rng = np.random.default_rng(404)
+    yield from (parse_sexpr(text) for text in NARY_TREES)
+    yield from (random_tree(rng, n_variables=3, max_length=40, max_depth=9) for _ in range(150))
+
+
+class TestDescent:
+    def test_every_node_of_every_kind_matches_the_preorder_walk(self):
+        for tree in _descent_cases():
+            for kind, sites in _reference_sites(tree).items():
+                for k, (node, path) in enumerate(sites):
+                    found, found_path = trees._descend(tree, k, kind)
+                    assert found is node
+                    assert len(found_path) == len(path)
+                    assert all(a is b and i == j for (a, i), (b, j) in zip(found_path, path))
+                with pytest.raises(IndexError):
+                    trees._descend(tree, len(sites), kind)
+                with pytest.raises(IndexError):
+                    trees._descend(tree, -1, kind)
+
+    def test_cached_counts_match_the_walk(self):
+        for tree in _descent_cases():
+            sites = _reference_sites(tree)
+            assert tree.n_var == len(sites["var"])
+            assert tree.n_const == len(sites["const"])
+            assert tree.size - tree.n_var - tree.n_const == len(sites["function"])
+            # every node caches its own subtree's counts
+            for node, _ in sites[None]:
+                below = _reference_sites(node)
+                assert (node.n_var, node.n_const) == (len(below["var"]), len(below["const"]))
+
+    def test_rebuild_replaces_the_descended_node(self):
+        for tree in _descent_cases():
+            for k in range(tree.size):
+                node, path = trees._descend(tree, k)
+                new = trees._rebuild(path, constant(0.5))
+                assert trees.subtree_at(new, k) == (constant(0.5), len(path) + 1)
+                assert new.size == tree.size - node.size + 1
+
+
 class TestRandomTree:
     def test_forced_single_leaf(self):
         tree = random_tree(np.random.default_rng(0), max_length=1, n_variables=2)
@@ -485,7 +556,7 @@ class TestRandomTree:
         rng = np.random.default_rng(5)
         for _ in range(300):
             tree = random_tree(rng, n_variables=1, max_length=20)
-            for node in trees.iter_nodes(tree):
+            for node, _ in _preorder(tree):
                 if node.symbol == "const":
                     assert -20.0 <= node.value <= 20.0
 
@@ -497,7 +568,8 @@ class TestRandomTree:
     def test_no_variables_means_constant_leaves(self):
         rng = np.random.default_rng(1)
         tree = random_tree(rng, n_variables=0, max_length=15)
-        for node in trees.iter_nodes(tree):
+        assert tree.n_var == 0
+        for node, _ in _preorder(tree):
             assert node.symbol != "var"
 
 
@@ -547,7 +619,7 @@ class TestMutate:
         seen = set()
         rng = np.random.default_rng(0)
         for _ in range(200):
-            out = trees.mutate_symbol(tree, rng)
+            out = trees.mutate_point(tree, rng, "function", n_variables=1)
             assert out.size == 2
             assert out.children[0].symbol == "var"
             seen.add(out.symbol)
@@ -556,7 +628,7 @@ class TestMutate:
     def test_jitter_changes_only_the_constant(self):
         tree = parse_sexpr("(+ 1 x0)")
         rng = np.random.default_rng(8)
-        out = trees.mutate_constant(tree, rng)
+        out = trees.mutate_point(tree, rng, "const", n_variables=1)
         assert out.symbol == "add"
         assert out.children[0].symbol == "const"
         assert out.children[0].value != 1.0
@@ -567,14 +639,26 @@ class TestMutate:
         tree = parse_sexpr("(sin x0)")
         rng = np.random.default_rng(0)
         for _ in range(20):
-            out = trees.mutate_variable(tree, rng, n_variables=3)
+            out = trees.mutate_point(tree, rng, "var", n_variables=3)
             assert out.children[0].symbol == "var"
             assert out.children[0].value in (1, 2)
 
     def test_variable_swap_single_variable_is_identity_index(self):
         tree = parse_sexpr("(sin x0)")
-        out = trees.mutate_variable(tree, np.random.default_rng(0), n_variables=1)
+        out = trees.mutate_point(tree, np.random.default_rng(0), "var", n_variables=1)
         assert out.children[0].value == 0
+
+    def test_point_mutation_without_a_site_is_identity_without_a_draw(self):
+        tree, leaf = parse_sexpr("(sin 2)"), constant(1.0)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert trees.mutate_point(tree, rng, "var", n_variables=3) is tree
+        assert trees.mutate_point(leaf, rng, "function", n_variables=3) is leaf
+        assert rng.bit_generator.state == state
+
+    def test_point_mutation_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown point mutation kind 'leaf'"):
+            trees.mutate_point(parse_sexpr("(sin x0)"), np.random.default_rng(0), "leaf", 1)
 
     def test_caps_hold_over_many_ops(self):
         rng = np.random.default_rng(77)
