@@ -264,6 +264,9 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: column '{repeated}' appears more than once in the header")
         if target_column not in header:
             raise ValueError(
                 f"{path}: no column named '{target_column}' "

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .sexpr import format_constant
 from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, postorder
 
 _INF = float("inf")
@@ -49,6 +50,9 @@ class Rule:
       product_of_incremented  -> product of (child value + 1)
       power                   -> child value ** parameter      (unary only)
       exponential             -> parameter ** child value      (unary only)
+
+    ``power`` needs a finite exponent >= 0 and ``exponential`` a finite
+    base >= 1, so child values >= 1 give a value >= 1.
     """
 
     kind: str
@@ -57,6 +61,11 @@ class Rule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise RuleTableError(f"unknown rule kind '{self.kind}'")
+        p = self.parameter
+        if self.kind == "power" and not 0.0 <= p < _INF:
+            raise RuleTableError(f"rule 'power' needs a finite exponent >= 0, got {p}")
+        if self.kind == "exponential" and not 1.0 <= p < _INF:
+            raise RuleTableError(f"rule 'exponential' needs a finite base >= 1, got {p}")
 
     def apply(self, child_values: list[float]) -> float:
         if self.kind == "sum":
@@ -81,14 +90,8 @@ class Rule:
     def spec(self) -> str:
         """Config-file form, e.g. ``power:2``; parses back to this rule."""
         if self.kind in _UNARY_KINDS:
-            return f"{self.kind}:{format_number(self.parameter)}"
+            return f"{self.kind}:{format_constant(self.parameter)}"
         return self.kind
-
-
-def format_number(value: float) -> str:
-    """Shortest text that parses back to ``value`` ("2" rather than "2.0")."""
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
 
 
 def _saturating_pow(base: float, exponent: float) -> float:
@@ -106,9 +109,10 @@ def rule_from_string(text: str) -> Rule:
         if not sep:
             raise RuleTableError(f"rule '{kind}' needs a parameter, e.g. '{kind}:2'")
         try:
-            return Rule(kind, float(param))
+            parameter = float(param)
         except ValueError as exc:
             raise RuleTableError(f"bad parameter in rule '{text}'") from exc
+        return Rule(kind, parameter)
     if sep:
         raise RuleTableError(f"rule '{kind}' takes no parameter")
     return Rule(kind)
@@ -118,9 +122,10 @@ def rule_from_string(text: str) -> Rule:
 class ComplexityRuleTable:
     """Leaf values plus one rule per function symbol.
 
-    Construction rejects leaf values below 1, rules for unknown symbols and
-    the one-child kinds (``power``, ``exponential``) on n-ary symbols, so a
-    table that builds can measure any tree its rules cover.
+    Construction rejects leaf values that are not finite and >= 1, rules
+    for unknown symbols and the one-child kinds (``power``,
+    ``exponential``) on n-ary symbols, so a table that builds gives every
+    tree its rules cover a value >= 1.
     """
 
     rules: Mapping[str, Rule]
@@ -128,8 +133,9 @@ class ComplexityRuleTable:
     variable_value: float = 2.0
 
     def __post_init__(self):
-        if self.constant_value < 1.0 or self.variable_value < 1.0:
-            raise RuleTableError("leaf complexity values must be >= 1")
+        for v in (self.constant_value, self.variable_value):
+            if not 1.0 <= v < _INF:  # NaN fails too
+                raise RuleTableError(f"leaf complexity values must be >= 1 and finite, got {v}")
         for symbol, rule in self.rules.items():
             if symbol in BINARY_SYMBOLS:
                 if rule.kind in _UNARY_KINDS:

@@ -35,14 +35,13 @@ from .complexity import (
     RULE_TABLES,
     ComplexityRuleTable,
     Rule,
-    format_number,
     make_measure,
     rule_from_string,
 )
 from .data import Dataset
 from .metrics import fit_linear_scaling, make_pearson_r2, pearson_r2, scaled_nmse
 from .nsga2 import EngineConfig, Individual, pareto_front, run
-from .sexpr import to_sexpr
+from .sexpr import format_constant, to_sexpr
 from .trees import evaluate_matrix, make_matrix_evaluator
 
 
@@ -144,7 +143,7 @@ class ExperimentConfig:
         for symbol in sorted(self.rule_overrides):
             text = self.rule_overrides[symbol]
             if symbol in ("constant", "variable"):
-                parts.append(f"{symbol}={format_number(float(text))}")
+                parts.append(f"{symbol}={format_constant(float(text))}")
             else:
                 parts.append(f"{symbol}={rule_from_string(text).spec()}")
         return ";".join(parts)

@@ -5,7 +5,10 @@ All objectives are minimized.  The loop is generational: each step builds
 ``population_size`` offspring through binary crowded tournaments, subtree
 crossover (always) and mutation (with ``mutation_rate``), evaluates each
 offspring once, merges parents and offspring and keeps the best
-``population_size`` by nondomination rank, then crowding.  Every individual
+``population_size`` by nondomination rank, then crowding.  Selection and
+:func:`pareto_front` rank exactly two objectives (accuracy, then
+complexity) by one sorted sweep; :func:`dominates` and
+:func:`fast_nondominated_sort` take any number.  Every individual
 ever created is evaluated exactly once; the run stops at the end of the
 generation in which the evaluation budget is reached, so the final count is
 in [max_evaluations, max_evaluations + population_size).
@@ -16,6 +19,7 @@ numpy Generator and never touches global randomness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,56 +121,50 @@ def fast_nondominated_sort(population: Sequence[Individual]) -> list[list[Indivi
     return _peel_fronts(population, le & lt)
 
 
-def _selection_sort(population: Sequence[Individual]) -> list[list[Individual]]:
-    """Engine-internal ranking: strict dominance plus duplicate demotion.
+def _ranks(population: Sequence[Individual]) -> list[int]:
+    """Rank of each individual under strict dominance plus duplicate
+    demotion, for exactly two objectives.
 
-    Among individuals with exactly equal objective vectors, each one is
-    treated as dominated by its earlier twins, so exact clones form a chain
-    of one per front.  Without this, individuals carrying the minimal
-    complexity objective (e.g. bare constants, which are never strictly
-    dominated) clone themselves until they flood the population and
-    selection degenerates into coin flips.  Only selection uses this
-    ranking; reported fronts come from the strict sort above.
+    Each exact twin counts as dominated by its earlier twins, so clones
+    form a chain of one per front.  Without this, individuals with the
+    minimal complexity (e.g. bare constants, never strictly dominated)
+    clone themselves until they flood the population.
 
-    Ranks equal peeling the domination relation "strictly dominates, or is
-    an earlier twin of": the k-th copy of vector v lands k fronts behind
-    the first copy, whose front is max over dominating vectors w of
-    (front of first copy of w + copies of w).  Computing that closed form
-    on the deduplicated vectors avoids peeling one front per clone.
+    One sweep in lexicographic order (Jensen, IEEE TEC 7(5), 2003), stable,
+    so twins come in population order.  A visited individual whose second
+    objective is no larger strictly dominates the current one or is its
+    earlier twin; the rest are incomparable with it.  ``least[r]`` is the
+    smallest second objective on front ``r`` so far.  Each member of front
+    ``r + 1`` has a no larger one on front ``r``, so ``least`` never
+    decreases and one bisect finds the rank.
     """
-    n = len(population)
-    if n == 0:
+    if not population:
         return []
     objs = _objective_matrix(population)
-    unique, inverse, counts = np.unique(
-        objs, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.ravel()
-    # position of each individual among its twins, in population order
-    order = np.argsort(inverse, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    twin_pos = np.empty(n, dtype=int)
-    twin_pos[order] = np.arange(n) - np.repeat(starts, counts)
+    if objs.shape[1] != 2:
+        raise ValueError(f"selection ranks exactly two objectives, got {objs.shape[1]}")
+    first, second = objs.T
+    second_values = second.tolist()
+    least: list[float] = []
+    ranks = [0] * len(population)
+    for i in np.lexsort((second, first)).tolist():
+        value = second_values[i]
+        rank = ranks[i] = bisect_right(least, value)
+        if rank == len(least):
+            least.append(value)
+        else:
+            least[rank] = value
+    return ranks
 
-    u = unique.shape[0]
-    le = (unique[:, None, :] <= unique[None, :, :]).all(axis=2)
-    lt = (unique[:, None, :] < unique[None, :, :]).any(axis=2)
-    dom = le & lt  # dom[w, v]: vector w strictly dominates vector v
-    base = np.zeros(u, dtype=int)
-    last_plus = np.zeros(u, dtype=int)
-    # lexicographic order (np.unique row order) is a linear extension of
-    # dominance, so every dominator of v is processed before v
-    for v in range(u):
-        dominators = dom[:, v]
-        if dominators.any():
-            base[v] = int(last_plus[dominators].max())
-        last_plus[v] = base[v] + int(counts[v])
 
-    ranks = base[inverse] + twin_pos
-    fronts: list[list[Individual]] = [[] for _ in range(int(ranks.max()) + 1)]
-    for i, rank in enumerate(ranks):
-        population[i].rank = int(rank)
-        fronts[rank].append(population[i])
+def _selection_sort(population: Sequence[Individual]) -> list[list[Individual]]:
+    """Fronts of :func:`_ranks`, members in population order; writes
+    ``rank`` back onto each individual."""
+    ranks = _ranks(population)
+    fronts: list[list[Individual]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for ind, rank in zip(population, ranks):
+        ind.rank = rank
+        fronts[rank].append(ind)
     return fronts
 
 
@@ -300,16 +298,8 @@ def run(
 
 
 def pareto_front(population: Sequence[Individual]) -> list[Individual]:
-    """Front 0, deduplicated on identical objective vectors and sorted by
-    the complexity objective (second component) ascending."""
-    if not population:
-        return []
-    first_front = fast_nondominated_sort(list(population))[0]
-    seen: set[Objectives] = set()
-    unique: list[Individual] = []
-    for ind in first_front:
-        if ind.objectives not in seen:
-            seen.add(ind.objectives)
-            unique.append(ind)
-    unique.sort(key=lambda ind: ind.objectives[1])
-    return unique
+    """Rank 0 of :func:`_ranks`, i.e. the first copy of each nondominated
+    vector, sorted by the complexity objective (second component)
+    ascending.  Unlike :func:`_selection_sort`, writes no ``rank``."""
+    front = [ind for ind, rank in zip(population, _ranks(population)) if rank == 0]
+    return sorted(front, key=lambda ind: ind.objectives[1])

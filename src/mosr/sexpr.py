@@ -44,11 +44,8 @@ def format_constant(value: float) -> str:
     "-0" for negative zero)."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite constant {value!r}")
-    if value == 0.0 and math.copysign(1.0, value) < 0.0:
-        return "-0"  # str(int(-0.0)) would drop the sign: 1/-0 is -inf
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def to_sexpr(tree: Node) -> str:

@@ -174,6 +174,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="no column named 'y'"):
             load_csv(str(path), "y", train_fraction=0.5)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("x,y,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="column 'y' appears more than once") as err:
+            load_csv(str(path), "y", train_fraction=0.5)
+        assert len(str(err.value).splitlines()) == 1
+
     def test_non_numeric_cell_reports_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y\n1,2,3\n4,abc,6\n")

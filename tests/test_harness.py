@@ -130,6 +130,13 @@ class TestConfigParsing:
             ("rule.add = power:2", "rule.* override: rule 'power' takes one child"),
             ("rule.foo = sum", "unknown function symbol 'foo'"),
             ("rule.constant = 0.5", "leaf complexity values must be >= 1"),
+            ("rule.constant = nan", "leaf complexity values must be >= 1 and finite, got nan"),
+            ("rule.variable = inf", "leaf complexity values must be >= 1 and finite, got inf"),
+            ("rule.sqrt = power:-1", "rule 'power' needs a finite exponent >= 0, got -1.0"),
+            ("rule.sqrt = power:inf", "rule 'power' needs a finite exponent >= 0, got inf"),
+            ("rule.sin = exponential:0.5", "rule 'exponential' needs a finite base >= 1"),
+            ("rule.sin = exponential:-2", "rule 'exponential' needs a finite base >= 1"),
+            ("rule.exp = exponential:nan", "rule 'exponential' needs a finite base >= 1, got nan"),
         ],
     )
     def test_bad_engine_and_rule_settings_fail_at_parse(self, line, message):

@@ -37,6 +37,23 @@ def brute_force_fronts(population):
     return fronts
 
 
+def seeded_pools():
+    """Seeded two-objective pools of 1-1200 individuals: coarse grids full
+    of twins, blocks of accuracy 1.0, +inf in either objective and mixed
+    -0.0/0.0."""
+    rng = np.random.default_rng(31415)
+    for _ in range(24):
+        n = int(rng.integers(1, 1201))
+        grid = int(rng.integers(2, 30))
+        objs = rng.integers(0, grid, size=(n, 2)) / grid
+        objs[rng.random(n) < 0.1, 0] = 1.0
+        for m in range(2):
+            objs[rng.random(n) < 0.05, m] = math.inf
+            zeros = rng.random(n) < 0.1
+            objs[zeros, m] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        yield [ind(*row) for row in objs]
+
+
 class TestDominates:
     def test_strictly_better(self):
         assert dominates((1, 1), (2, 2))
@@ -116,17 +133,22 @@ class TestSelectionSort:
     def test_matches_matrix_peeling_oracle(self):
         from mosr.nsga2 import _selection_sort
 
-        rng = np.random.default_rng(31415)
-        for _ in range(80):
-            n = int(rng.integers(1, 50))
-            m = int(rng.integers(2, 4))
-            pop = [ind(*rng.integers(0, 4, size=m)) for _ in range(n)]
+        for pop in seeded_pools():
             got = [[id(x) for x in f] for f in _selection_sort(pop)]
             got_ranks = [p.rank for p in pop]
             expected = [[id(x) for x in f] for f in self._oracle(pop)]
             expected_ranks = [p.rank for p in pop]
             assert got == expected
             assert got_ranks == expected_ranks
+
+    def test_rejects_other_than_two_objectives(self):
+        from mosr.nsga2 import _selection_sort
+
+        pop = [ind(1, 2, 3), ind(3, 2, 1)]
+        with pytest.raises(ValueError, match="exactly two objectives"):
+            _selection_sort(pop)
+        with pytest.raises(ValueError, match="exactly two objectives"):
+            pareto_front(pop)
 
     def test_twins_chain_one_per_front(self):
         from mosr.nsga2 import _selection_sort
@@ -344,3 +366,16 @@ class TestParetoFront:
             acc = [i.objectives[0] for i in front]
             assert obj2 == sorted(obj2)
             assert all(a > b for a, b in zip(acc, acc[1:]))
+
+    def test_matches_strict_sort_first_copies(self):
+        for pop in seeded_pools():
+            first_copies = {}
+            for p in fast_nondominated_sort(pop)[0]:
+                first_copies.setdefault(p.objectives, p)
+            expected = sorted(first_copies.values(), key=lambda p: p.objectives[1])
+            assert [id(p) for p in pareto_front(pop)] == [id(p) for p in expected]
+
+    def test_leaves_ranks_unwritten(self):
+        pop = [ind(1, 4), ind(2, 2), ind(3, 3)]
+        pareto_front(pop)
+        assert [p.rank for p in pop] == [-1, -1, -1]
