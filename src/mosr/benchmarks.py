@@ -257,7 +257,9 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError("train_fraction must be in [0, 1]")
-    with open(path, newline="") as handle:
+    # utf-8-sig drops the byte order mark that spreadsheet programs write
+    # before the first column name
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -24,6 +24,7 @@ compares greater than every finite value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from .sexpr import format_constant
@@ -66,26 +67,6 @@ class Rule:
             raise RuleTableError(f"rule 'power' needs a finite exponent >= 0, got {p}")
         if self.kind == "exponential" and not 1.0 <= p < _INF:
             raise RuleTableError(f"rule 'exponential' needs a finite base >= 1, got {p}")
-
-    def apply(self, child_values: list[float]) -> float:
-        if self.kind == "sum":
-            total = 0.0
-            for v in child_values:
-                total += v
-            return total
-        if self.kind == "product_plus_one":
-            product = 1.0
-            for v in child_values:
-                product *= v
-            return product + 1.0
-        if self.kind == "product_of_incremented":
-            product = 1.0
-            for v in child_values:
-                product *= v + 1.0
-            return product
-        if self.kind == "power":
-            return _saturating_pow(child_values[0], self.parameter)
-        return _saturating_pow(self.parameter, child_values[0])
 
     def spec(self) -> str:
         """Config-file form, e.g. ``power:2``; parses back to this rule."""
@@ -200,27 +181,88 @@ RULE_TABLES: dict[str, Callable[[], ComplexityRuleTable]] = {
 }
 
 
+def _sum(values: list[float]) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _product_plus_one(values: list[float]) -> float:
+    product = 1.0
+    for v in values:
+        product *= v
+    return product + 1.0
+
+
+def _product_of_incremented(values: list[float]) -> float:
+    product = 1.0
+    for v in values:
+        product *= v + 1.0
+    return product
+
+
+# Each kind that takes any number of children, as functions of one child
+# value, of two and of a list of any length; the list form folds left to
+# right.  Child values are >= 1, so the one- and two-value forms can drop
+# the fold's leading ``0.0 +`` and ``1.0 *`` and stay bit-equal to it.
+_NARY_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "sum": (float, lambda a, b: a + b, _sum),
+    "product_plus_one": (lambda v: v + 1.0, lambda a, b: a * b + 1.0, _product_plus_one),
+    "product_of_incremented": (
+        lambda v: v + 1.0, lambda a, b: (a + 1.0) * (b + 1.0), _product_of_incremented
+    ),
+}
+
+
+class _RuleFunctions(dict):
+    """Symbol -> rule function; a symbol without a rule raises."""
+
+    def __missing__(self, symbol: str):
+        raise RuleTableError(f"no complexity rule configured for symbol '{symbol}'")
+
+
+def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
+    """The measure of ``rules``: each rule's function is chosen here, once,
+    and the returned function folds a value stack over :func:`postorder`,
+    so trees of any depth can be measured."""
+    one, two, many = _RuleFunctions(), _RuleFunctions(), _RuleFunctions()
+    for symbol, rule in rules.rules.items():
+        if rule.kind == "power":
+            one[symbol] = partial(_saturating_pow, exponent=rule.parameter)
+        elif rule.kind == "exponential":
+            one[symbol] = partial(_saturating_pow, rule.parameter)
+        else:
+            one[symbol], two[symbol], many[symbol] = _NARY_KINDS[rule.kind]
+    constant_value, variable_value = float(rules.constant_value), float(rules.variable_value)
+
+    def measure(tree: Node) -> float:
+        stack: list[float] = []
+        for node in postorder(tree):
+            kids = node.children
+            if not kids:
+                stack.append(constant_value if node.symbol == "const" else variable_value)
+            elif len(kids) == 1:
+                stack[-1] = one[node.symbol](stack[-1])
+            elif len(kids) == 2:  # the common case, kept off the slicing path
+                right = stack.pop()
+                stack[-1] = two[node.symbol](stack[-1], right)
+            else:  # a node's child values are the top len(kids), first child deepest
+                values = stack[-len(kids):]
+                del stack[-len(kids):]
+                stack.append(many[node.symbol](values))
+        return stack[0]
+
+    return measure
+
+
 def recursive_complexity(tree: Node, rules: ComplexityRuleTable) -> float:
     """Fold the rule table bottom-up over the tree; saturates to +inf.
 
     Walks an explicit value stack, not the recursion the name describes, so
     trees of any depth can be measured.
     """
-    constant_value, variable_value, rule_for = (
-        rules.constant_value, rules.variable_value, rules.rule_for
-    )
-    stack: list[float] = []
-    for node in postorder(tree):
-        kids = node.children
-        if not kids:
-            stack.append(constant_value if node.symbol == "const" else variable_value)
-        elif len(kids) == 1:  # the common case, kept off the slicing path
-            stack[-1] = rule_for(node.symbol).apply([stack[-1]])
-        else:  # a node's child values are the top len(kids), first child deepest
-            values = stack[-len(kids):]
-            del stack[-len(kids):]
-            stack.append(rule_for(node.symbol).apply(values))
-    return stack[0]
+    return _complexity_fold(rules)(tree)
 
 
 MEASURES = ("variables", "tree_length", "visitation_length", "complexity")
@@ -240,5 +282,5 @@ def make_measure(
         table = rule_table if rule_table is not None else default_rule_table()
         for symbol in BINARY_SYMBOLS + UNARY_SYMBOLS:
             table.rule_for(symbol)  # fail fast on incomplete tables
-        return lambda tree: recursive_complexity(tree, table)
+        return _complexity_fold(table)
     raise ValueError(f"unknown complexity measure '{name}' (choose from {MEASURES})")

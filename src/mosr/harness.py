@@ -2,10 +2,11 @@
 
 One experiment is one configuration (problem, second objective, engine
 settings) executed over ``repetitions`` consecutive seeds.  Each run builds
-its dataset from the run seed, evolves a population, extracts the Pareto
-front, picks the best model by training accuracy and scores it; artifacts
-(front CSV, best-model s-expression, per-run table, aggregate row) land in
-the output directory.  Every float written to disk uses ``repr``, so two
+its dataset from the run seed (a CSV is read once for all the runs of an
+experiment), evolves a population, extracts the Pareto front, picks the
+best model by training accuracy and scores it; artifacts (front CSV,
+best-model s-expression, per-run table, aggregate row) land in the output
+directory.  Every float written to disk uses ``repr``, so two
 executions of the same config are byte-identical.
 
 Config files are line-oriented ``key = value`` with ``#`` comments, e.g.::
@@ -251,11 +252,35 @@ def select_best(front: Sequence[Individual]) -> Individual:
     return min(front, key=lambda ind: (ind.objectives[0], ind.objectives[1], ind.tree.size))
 
 
+# The CSV dataset of the experiment being executed, with the settings it
+# was read with: execute_experiment reads the file once for all its runs,
+# in this process and in pool workers that inherit it through fork.
+_shared_csv: tuple[tuple[str, str, float], Dataset] | None = None
+
+
+def _csv_settings(config: ExperimentConfig) -> tuple[str, str, float]:
+    return config.data_path, config.target, config.train_fraction
+
+
+def _share_csv(config: ExperimentConfig) -> None:
+    """Read ``config``'s CSV for the runs of this process, unless it holds
+    it already (a forked pool worker inherits its parent's)."""
+    global _shared_csv
+    if _shared_csv is not None and _shared_csv[0] == _csv_settings(config):
+        return
+    dataset = benchmarks.load_csv(*_csv_settings(config))
+    for array in (dataset.columns, dataset.target, dataset.train_rows, dataset.test_rows):
+        array.flags.writeable = False  # one copy serves every run
+    _shared_csv = (_csv_settings(config), dataset)
+
+
 def _build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     if config.problem:
         spec = benchmarks.get_problem(config.problem, config.variant)
         return benchmarks.generate(spec, seed)
-    return benchmarks.load_csv(config.data_path, config.target, config.train_fraction)
+    if _shared_csv is not None and _shared_csv[0] == _csv_settings(config):
+        return _shared_csv[1]
+    return benchmarks.load_csv(*_csv_settings(config))
 
 
 def _front_models(
@@ -339,14 +364,11 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         if float(np.var(y_fit)) == 0.0:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows
-        # are gathered again for the front rather than held through the run;
-        # r2_fit scores any non-finite prediction 0, so a tree bound for a
-        # NaN may stop at the first log or sqrt that guarantees one
-        evaluate_fit = make_matrix_evaluator(dataset.columns[fit_rows], nan_exit=True)
-        r2_fit = make_pearson_r2(y_fit)
+        # are gathered again for the front rather than held through the run
+        r2_fit = make_matrix_evaluator(dataset.columns[fit_rows], score=make_pearson_r2(y_fit))
 
         def objective(tree) -> tuple[float, float]:
-            return 1.0 - r2_fit(evaluate_fit(tree)), measure(tree)
+            return 1.0 - r2_fit(tree), measure(tree)
 
         population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
         front = pareto_front(population)
@@ -457,18 +479,30 @@ def execute_experiment(
     ``best_<seed>.sexpr`` per run, ``runs.csv`` with one row per run and
     ``aggregate.csv`` with the single configuration row.
     """
+    global _shared_csv
     config.validate()
-    out = output_dir if output_dir is not None else config.output_dir
-    os.makedirs(out, exist_ok=True)
-    seeds = range(config.base_seed, config.base_seed + config.repetitions)
-    if config.jobs > 1 and config.repetitions > 1:
-        # imported here: loading it costs every process start, pool or not
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if config.data_path:
+            _share_csv(config)  # a bad file fails before the output directory exists
+        out = output_dir if output_dir is not None else config.output_dir
+        os.makedirs(out, exist_ok=True)
+        seeds = range(config.base_seed, config.base_seed + config.repetitions)
+        jobs = min(config.jobs, config.repetitions)
+        if jobs > 1:
+            # imported here: loading it costs every process start, pool or not
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(partial(execute_run, config), seeds))
-    else:
-        results = [execute_run(config, seed) for seed in seeds]
+            # a fork-started pool starts all its workers at the first submit,
+            # so it is sized to the runs; a spawned worker reads the CSV once
+            share = _share_csv if config.data_path else None
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=share, initargs=(config,)
+            ) as pool:
+                results = list(pool.map(partial(execute_run, config), seeds))
+        else:
+            results = [execute_run(config, seed) for seed in seeds]
+    finally:
+        _shared_csv = None  # a later experiment reads the file again
     for result in results:
         write_front_csv(result.front, os.path.join(out, f"front_{result.seed}.csv"))
         _write_text(os.path.join(out, f"best_{result.seed}.sexpr"), result.best.sexpr + "\n")

@@ -46,6 +46,12 @@ def make_pearson_r2(actual) -> Callable[[object], float]:
     The target's finiteness check, centring and scaling are done once; the
     returned callable scores one prediction vector per call, with the same
     float operations in the same order as ``pearson_r2``.
+
+    A non-finite prediction needs no scan of its own: NaN propagates
+    through addition, inf plus a finite value is inf and inf plus -inf is
+    NaN, so a vector holding any non-finite value has a non-finite sum and
+    mean, and scores 0.  So does a finite vector whose sum overflows, which
+    the infinite scale of its centred values would score 0 as well.
     """
     a = np.asarray(actual, dtype=float)
     if a.ndim != 1:
@@ -63,10 +69,13 @@ def make_pearson_r2(actual) -> Callable[[object], float]:
 
     def r2(pred) -> float:
         p, _ = _as_pair(pred, a)
-        if an is None or not np.isfinite(p).all():
+        if an is None:
             return 0.0
         with np.errstate(all="ignore"):
-            p_centered = p - p.mean()
+            p_mean = p.mean()
+            if not math.isfinite(p_mean):  # a non-finite p, or its sum overflowed
+                return 0.0
+            p_centered = p - p_mean
             p_scale = float(np.abs(p_centered).max())
         # centering itself can overflow for huge-magnitude predictions; such
         # models are degenerate and get the worst-case convention

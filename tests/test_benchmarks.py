@@ -174,6 +174,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="no column named 'y'"):
             load_csv(str(path), "y", train_fraction=0.5)
 
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" puts U+FEFF before the first column name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x1\n1,2\n3,4\n5,7\n")
+        ds = load_csv(str(path), "y", train_fraction=2 / 3)
+        assert ds.variable_names == ("x1",)
+        assert ds.target.tolist() == [1.0, 3.0, 5.0]
+
     def test_repeated_column_name_rejected(self, tmp_path):
         path = tmp_path / "twice.csv"
         path.write_text("x,y,y\n1,2,3\n4,5,6\n")

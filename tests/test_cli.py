@@ -232,6 +232,18 @@ def test_bad_settings_exit_before_any_run(tmp_path, capsys, line):
     assert not out_dir.exists()
 
 
+def test_bad_csv_exits_before_the_output_directory(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("x1,y\n1,2\n3,abc\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"data = {data}\ntarget = y\npopulation_size = 12\nrepetitions = 2\n")
+    out_dir = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: non-numeric value 'abc' at line 3, column 'y'\n"
+    assert not out_dir.exists()
+
+
 def test_run_flag_defaults_are_config_defaults():
     args = cli._build_parser().parse_args(["run", "--out-dir", "out"])
     defaults = ExperimentConfig()

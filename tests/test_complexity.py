@@ -62,6 +62,33 @@ class TestCounts:
             assert visitation_length(tree) == brute(tree)
 
 
+def _reference_apply(rule, child_values):
+    """One rule applied to a node's child values, as a left-to-right fold
+    (the per-node dispatch the measure used before it chose each symbol's
+    function once per rule table)."""
+    if rule.kind == "sum":
+        total = 0.0
+        for v in child_values:
+            total += v
+        return total
+    if rule.kind == "product_plus_one":
+        product = 1.0
+        for v in child_values:
+            product *= v
+        return product + 1.0
+    if rule.kind == "product_of_incremented":
+        product = 1.0
+        for v in child_values:
+            product *= v + 1.0
+        return product
+    try:
+        if rule.kind == "power":
+            return child_values[0] ** rule.parameter
+        return rule.parameter ** child_values[0]
+    except OverflowError:
+        return math.inf
+
+
 class TestRecursiveComplexity:
     def test_leaves(self):
         table = default_rule_table()
@@ -132,7 +159,7 @@ class TestRecursiveComplexity:
             if node.symbol == "var":
                 return table.variable_value
             values = [reference(c, table) for c in node.children]
-            return table.rule_for(node.symbol).apply(values)
+            return _reference_apply(table.rule_for(node.symbol), values)
 
         literal = default_rule_table()
         odd = literal.with_overrides(
@@ -140,12 +167,27 @@ class TestRecursiveComplexity:
             constant_value=1.3,
             variable_value=2.7,
         )
+        # the many-children kinds on one-child symbols, and sub/div swapped
+        crossed = literal.with_overrides(
+            rules={
+                "sin": Rule("sum"),
+                "cos": Rule("product_plus_one"),
+                "log": Rule("product_of_incremented"),
+                "sub": Rule("product_plus_one"),
+                "div": Rule("sum"),
+            },
+            variable_value=1.0,
+        )
         rng = np.random.default_rng(8)
         trees = [random_tree(rng, n_variables=3, max_length=60) for _ in range(300)]
         trees.append(parse_sexpr("(- (* x0 1.5 x1) (div x2 x0 3) (+ 1 2 3 4))"))
-        for table in (literal, figure_consistent_rule_table(), odd):
+        trees.append(parse_sexpr("(+ (sin (cos (log x0))) (- x1 (div 1 x2 x0)) (* x0 x1 x2 3))"))
+        for table in (literal, figure_consistent_rule_table(), odd, crossed):
+            measure = make_measure("complexity", table)
             for tree in trees:
-                assert recursive_complexity(tree, table).hex() == reference(tree, table).hex()
+                want = reference(tree, table).hex()
+                assert recursive_complexity(tree, table).hex() == want
+                assert measure(tree).hex() == want
 
     def test_deep_models_are_measured(self):
         # deeper than the interpreter's recursion limit

@@ -320,6 +320,83 @@ class TestExecuteExperiment:
         assert results[0].eval_count == 60
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs every
+    task in this process, as a forked worker would see it."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolAndCsv:
+    def test_pool_is_sized_to_the_runs(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        for jobs, repetitions in [(64, 2), (2, 3), (64, 1), (1, 3)]:
+            config = ExperimentConfig(**{**SMALL, "jobs": jobs, "repetitions": repetitions})
+            _, results = execute_experiment(config, str(tmp_path / f"{jobs}-{repetitions}"))
+            assert len(results) == repetitions
+        assert _InlinePool.sizes == [2, 2]  # one run, or one job, needs no pool
+
+    def test_csv_is_read_once_per_experiment(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        from mosr import benchmarks, harness
+
+        data_path = str(tmp_path / "k5.csv")
+        benchmarks.save_csv(benchmarks.generate("keijzer5", seed=0), data_path)
+        reads = []
+        load_csv = benchmarks.load_csv
+
+        def counted_load_csv(*args):
+            reads.append(args)
+            return load_csv(*args)
+
+        monkeypatch.setattr(benchmarks, "load_csv", counted_load_csv)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(harness, "_shared_csv", None)
+        config = ExperimentConfig(
+            data_path=data_path,
+            target="y",
+            train_fraction=0.1,
+            objective2="variables",
+            population_size=12,
+            max_evaluations=60,
+            repetitions=3,
+        )
+        sequential = execute_experiment(config, str(tmp_path / "seq"))[1]
+        assert len(reads) == 1
+        config.jobs = 2  # the pool's initializer finds the file read already
+        pooled = execute_experiment(config, str(tmp_path / "pool"))[1]
+        assert len(reads) == 2  # a later experiment reads the file again
+        assert pooled == sequential
+        assert harness._shared_csv is None
+        # a run on its own reads the file itself, and a spawned worker's
+        # initializer reads it once for all the runs it is given
+        assert execute_run(config, 0) == sequential[0]
+        assert len(reads) == 3
+        harness._share_csv(config)
+        dataset = harness._shared_csv[1]
+        assert not dataset.columns.flags.writeable and not dataset.target.flags.writeable
+        assert [execute_run(config, seed) for seed in (0, 1, 2)] == sequential
+        assert len(reads) == 4
+
+
 class TestFrontExport:
     def test_export_writes_sorted_rows(self, tmp_path):
         from mosr.benchmarks import generate

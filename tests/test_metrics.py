@@ -47,6 +47,14 @@ def _vectors(rng, n):
         v = rng.normal(size=n)
         v[rng.integers(n)] = bad
         yield v
+    # finite values whose sum overflows, constant or not
+    yield np.full(n, 1e308)
+    v = np.full(n, -1e308)
+    v[0] = 1e307
+    yield v
+    v = rng.normal(size=n)  # +inf and -inf together: a NaN sum
+    v[0], v[-1] = math.inf, -math.inf
+    yield v
 
 
 class TestPearsonR2:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mosr import benchmarks, trees
+from mosr.complexity import make_measure
 from mosr.metrics import make_pearson_r2
+from mosr.nsga2 import EngineConfig, run
 from mosr.sexpr import parse_sexpr, to_sexpr
 from mosr.trees import (
     StructuralError,
@@ -214,11 +216,16 @@ NOT_EXITING = [
 ]
 
 
+def _identity(values):
+    """A score that hands back the values it scores."""
+    return values
+
+
 class TestNanExit:
     def test_objective_and_finite_values_match_exact_evaluation(self):
         X = _edge_data()
         exact = trees.make_matrix_evaluator(X)
-        fast = trees.make_matrix_evaluator(X, nan_exit=True)
+        fast = trees.make_matrix_evaluator(X, score=_identity)
         r2 = make_pearson_r2(np.random.default_rng(3).normal(size=X.shape[0]))
         rng = np.random.default_rng(7)
         shapes = [parse_sexpr(text) for text in EXITING + NOT_EXITING + CACHED_SHAPES]
@@ -237,28 +244,32 @@ class TestNanExit:
 
     @pytest.mark.parametrize("text", EXITING)
     def test_guaranteed_nan_returns_fresh_all_nan_rows(self, text):
+        # the exit returns the score of all-NaN rows made once, when the
+        # evaluator was prepared, not rows made fresh for each tree
         X = _edge_data()
-        fast = trees.make_matrix_evaluator(X, nan_exit=True)
+        fast = trees.make_matrix_evaluator(X, score=_identity)
+        nan_score = _closure(fast)["nan_score"]
         tree = parse_sexpr(text)
         assert np.isnan(trees.make_matrix_evaluator(X)(tree)).any()
         first = fast(tree)
         assert first.shape == (X.shape[0],) and np.isnan(first).all()
         assert first.flags.writeable
-        assert not np.shares_memory(first, fast(tree))
+        assert first is nan_score
+        assert trees.make_matrix_evaluator(X, score=_identity)(tree) is not first
 
     def test_exit_skips_finite_rows_of_the_exact_value(self):
         X = _edge_data()
         tree = parse_sexpr("(+ (sqrt (- 0 x0)) x0)")
         exact = trees.make_matrix_evaluator(X)(tree)
         assert np.isfinite(exact).any() and np.isnan(exact).any()
-        assert np.isnan(trees.make_matrix_evaluator(X, nan_exit=True)(tree)).all()
+        assert np.isnan(trees.make_matrix_evaluator(X, score=_identity)(tree)).all()
 
     @pytest.mark.parametrize("text", NOT_EXITING)
     def test_inf_and_signed_zero_do_not_exit(self, text):
         X = np.array([[0.0], [-0.0], [2.0], [np.inf]])
         tree = parse_sexpr(text)
         want = trees.make_matrix_evaluator(X)(tree)
-        got = trees.make_matrix_evaluator(X, nan_exit=True)(tree)
+        got = trees.make_matrix_evaluator(X, score=_identity)(tree)
         assert not np.isnan(want).any()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -320,6 +331,7 @@ class TestNanProbe:
                         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
     def test_objectives_match_the_unprobed_evaluator(self, monkeypatch):
+        monkeypatch.setattr(trees, "_MEMO_SIZE", 16)  # the identity score keeps whole rows
         X = _probe_data(4 * trees._PROBE_MIN_ROWS + 1)
         r2 = make_pearson_r2(np.random.default_rng(3).normal(size=X.shape[0]))
         exact = trees.make_matrix_evaluator(X)
@@ -339,9 +351,9 @@ class TestNanProbe:
             return probe
 
         monkeypatch.setattr(trees, "_make_fold", counting_make_fold)
-        probed = trees.make_matrix_evaluator(X, nan_exit=True)
+        probed = trees.make_matrix_evaluator(X, score=_identity)
         monkeypatch.setattr(trees, "_PROBE_MIN_ROWS", X.shape[0] + 1)
-        unprobed = trees.make_matrix_evaluator(X, nan_exit=True)
+        unprobed = trees.make_matrix_evaluator(X, score=_identity)
         assert _closure(probed)["probe"] is not None and _closure(unprobed)["probe"] is None
         rng = np.random.default_rng(23)
         shapes = [parse_sexpr(text) for text in EXITING + NOT_EXITING + CACHED_SHAPES]
@@ -364,7 +376,7 @@ class TestNanProbe:
     )
     def test_nan_outside_the_probe_still_exits_in_full(self, text):
         X = _probe_data(trees._PROBE_MIN_ROWS + 1)
-        evaluate = trees.make_matrix_evaluator(X, nan_exit=True)
+        evaluate = trees.make_matrix_evaluator(X, score=_identity)
         rows = trees._probe_rows(X.shape[0])
         bad = np.flatnonzero(np.isnan(trees.make_matrix_evaluator(X)(parse_sexpr(text))))
         assert bad.size and not np.isin(bad, rows).any()  # the probe cannot see it
@@ -376,7 +388,7 @@ class TestNanProbe:
         X = np.ones((trees._PROBE_MIN_ROWS, 1))
         X[0, 0] = 0.0
         tree = parse_sexpr("(* x0 (div 1 x0))")
-        got = trees.make_matrix_evaluator(X, nan_exit=True)(tree)
+        got = trees.make_matrix_evaluator(X, score=_identity)(tree)
         assert np.isnan(got[0]) and (got[1:] == 1.0).all()
 
     def test_probe_rows_span_the_data(self):
@@ -388,13 +400,13 @@ class TestNanProbe:
     def test_gate(self):
         # the built-in problems' training sets keep the unprobed path
         assert max(spec.train_size for spec in benchmarks.list_problems()) < trees._PROBE_MIN_ROWS
-        for n_rows, nan_exit, probed in [
-            (trees._PROBE_MIN_ROWS - 1, True, False),
-            (trees._PROBE_MIN_ROWS, True, True),
-            (trees._PROBE_MIN_ROWS, False, False),
+        for n_rows, score, probed in [
+            (trees._PROBE_MIN_ROWS - 1, _identity, False),
+            (trees._PROBE_MIN_ROWS, _identity, True),
+            (trees._PROBE_MIN_ROWS, None, False),
         ]:
-            evaluate = trees.make_matrix_evaluator(np.ones((n_rows, 1)), nan_exit=nan_exit)
-            assert (_closure(evaluate)["probe"] is not None) == probed
+            evaluate = trees.make_matrix_evaluator(np.ones((n_rows, 1)), score=score)
+            assert (_closure(evaluate).get("probe") is not None) == probed
 
     def test_log_of_a_positive_argument_needs_no_masking(self):
         rng = np.random.default_rng(17)
@@ -403,6 +415,131 @@ class TestNanProbe:
         assert (arg > 0.0).all()
         want = trees._log_nonpositive_nan(arg)
         assert np.array_equal(np.log(arg).view(np.uint64), want.view(np.uint64))
+
+
+def _key(text):
+    return trees._structure_key(trees.postorder(parse_sexpr(text)))
+
+
+# trees that differ only where a careless key would merge them
+KEY_PAIRS = [
+    ("(div x0 0.0)", "(div x0 -0.0)"),
+    ("x1", "1.0"),
+    ("(sin x1)", "(sin 1)"),
+    ("(+ x0 x1 x2)", "(+ (+ x0 x1) x2)"),
+    ("(- (- x0 x1 x2) x0)", "(- x0 (- x1 x2) x0)"),
+]
+
+
+def _exact_bytes(values):
+    """A score that tells every vector apart, but all that hold a NaN."""
+    return b"NaN" if np.isnan(values).any() else values.tobytes()
+
+
+class TestScoreMemo:
+    @pytest.mark.parametrize(
+        "problem, objective2", [("keijzer5", "complexity"), ("poly10", "tree_length")]
+    )
+    def test_kept_scores_match_a_fresh_recompute_over_a_run(self, problem, objective2):
+        data = benchmarks.generate(problem, seed=4)
+        X, y = data.X_train, data.y_train
+        r2 = make_pearson_r2(y)
+        memoised = trees.make_matrix_evaluator(X, score=r2)
+        exact = trees.make_matrix_evaluator(X)
+        measure = make_measure(objective2)
+        seen: set = set()
+        repeats = 0
+
+        def objective(tree):
+            nonlocal repeats
+            got = 1.0 - memoised(tree)
+            assert got.hex() == (1.0 - r2(exact(tree))).hex(), to_sexpr(tree)
+            key = trees._structure_key(trees.postorder(tree))
+            repeats += key in seen
+            seen.add(key)
+            return got, measure(tree)
+
+        config = EngineConfig(population_size=100, max_evaluations=3000, seed=4)
+        _, evaluations = run(config, objective, data.n_variables)
+        assert repeats > evaluations // 10, repeats  # the kept scores were used
+        assert len(_closure(memoised)["memo"]) <= trees._MEMO_SIZE
+
+    def test_keys_are_equal_exactly_when_the_trees_are(self):
+        for a, b in KEY_PAIRS:
+            assert _key(a) != _key(b), (a, b)
+            assert _key(a) == _key(a)
+        rng = np.random.default_rng(29)
+        pool = [random_tree(rng, n_variables=2, max_length=4) for _ in range(250)]
+        pool += [parse_sexpr(text) for pair in KEY_PAIRS for text in pair]
+        pool += [constant(0.0), constant(-0.0), constant(math.nan), constant(1.0), variable(1)]
+        keys = [trees._structure_key(trees.postorder(tree)) for tree in pool]
+        for a, key_a in zip(pool, keys):
+            for b, key_b in zip(pool, keys):
+                assert (key_a == key_b) == (a == b), (to_sexpr(a), to_sexpr(b))
+
+    def test_trees_a_careless_key_would_merge_are_scored_apart(self):
+        X = np.array([[2.0, 3.0, 5.0], [-1.0, 0.5, 4.0]])
+        evaluate = trees.make_matrix_evaluator(X, score=_exact_bytes)
+        exact = trees.make_matrix_evaluator(X)
+        for pair in KEY_PAIRS:
+            for text in pair + pair:  # each scored, then kept
+                assert evaluate(parse_sexpr(text)) == exact(parse_sexpr(text)).tobytes(), text
+
+    def test_least_recently_used_tree_is_dropped_and_scored_again(self, monkeypatch):
+        monkeypatch.setattr(trees, "_MEMO_SIZE", 3)
+        X = np.array([[0.5], [2.0]])
+        scored = []
+
+        def score(values):
+            scored.append(values)
+            return _exact_bytes(values)
+
+        evaluate = trees.make_matrix_evaluator(X, score=score)
+        exact = trees.make_matrix_evaluator(X)
+        memo = _closure(evaluate)["memo"]
+        del scored[:]  # the all-NaN score, made when the evaluator was prepared
+        a, b, c, d = (parse_sexpr(t) for t in ("x0", "(sin x0)", "(cos x0)", "(exp x0)"))
+        for tree in (a, b, c, a):  # the second a is kept: not scored again
+            assert evaluate(tree) == _exact_bytes(exact(tree))
+        assert len(scored) == 3 and len(memo) == 3
+        assert evaluate(d) == _exact_bytes(exact(d))  # drops b, the least recently used
+        assert len(scored) == 4 and len(memo) == 3
+        evaluate(a)
+        evaluate(c)
+        assert len(scored) == 4
+        assert evaluate(b) == _exact_bytes(exact(b))  # dropped, so scored again
+        assert len(scored) == 5
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            tree = random_tree(rng, n_variables=1, max_length=6)
+            assert evaluate(tree) == _exact_bytes(exact(tree))
+            assert len(memo) <= 3
+
+    def test_out_of_range_variable_raises_on_every_call(self):
+        scored = []
+        evaluate = trees.make_matrix_evaluator(np.ones((4, 1)), score=scored.append)
+        tree = parse_sexpr("(+ x0 x3)")
+        for _ in range(3):
+            with pytest.raises(StructuralError):
+                evaluate(tree)
+        assert len(scored) == 1 and not _closure(evaluate)["memo"]
+
+    @pytest.mark.parametrize("n_rows", [200, trees._PROBE_MIN_ROWS + 1])
+    def test_nan_exit_does_not_call_score(self, n_rows):
+        X = _probe_data(n_rows)
+        X[0, 3] = -np.inf
+        scored = []
+
+        def score(values):
+            scored.append(values)
+            return len(scored)
+
+        evaluate = trees.make_matrix_evaluator(X, score=score)
+        assert len(scored) == 1 and np.isnan(scored[0]).all()  # once, when prepared
+        for text in ["(log (- x2 x2))", "(+ x0 (sqrt -1))", "(+ x0 (log 0))", "(log (+ x3 0))",
+                     "(sqrt x1)", "(* x0 (log x2))"]:
+            assert evaluate(parse_sexpr(text)) == 1, text
+        assert len(scored) == 1
 
 
 class TestShape:
