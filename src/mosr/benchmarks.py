@@ -26,9 +26,6 @@ import numpy as np
 
 from .data import Dataset
 
-FRIEDMAN1_VARIANTS = ("", "literature")
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str
@@ -98,33 +95,6 @@ def _friedman2(X: np.ndarray) -> np.ndarray:
     return 10.0 * np.sin(np.pi * x[0] * x[1]) + 20.0 * (x[2] - 0.5) ** 2 + 10.0 * x[3] + 5.0 * x[4]
 
 
-def target_function(spec: ProblemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The noise-free target of a generated problem, as a function of the
-    input matrix (rows x variables)."""
-    if spec.name == "friedman1":
-        if spec.variant == "literature":
-            return _friedman1_literature
-        if spec.variant == "":
-            return _friedman1_printed
-        raise ValueError(f"unknown friedman1 variant '{spec.variant}'")
-    fn = _TARGETS.get(spec.name)
-    if fn is None:
-        raise ValueError(f"unknown problem '{spec.name}'")
-    return fn
-
-
-_TARGETS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "keijzer5": _keijzer5,
-    "vladislavleva1": _vladislavleva1,
-    "vladislavleva2": _vladislavleva2,
-    "vladislavleva7": _vladislavleva7,
-    "pagie1": _pagie1,
-    "poly10": _poly10,
-    "friedman1": _friedman1_printed,
-    "friedman2": _friedman2,
-}
-
-
 # --- input samplers ------------------------------------------------------
 
 def _sample_keijzer5(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -160,58 +130,91 @@ def _sample_friedman(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return rng.uniform(0.0, 1.0, (500, 10)), rng.uniform(0.0, 1.0, (5000, 10))
 
 
-_SAMPLERS: dict[str, Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]] = {
-    "keijzer5": _sample_keijzer5,
-    "vladislavleva1": _sample_vladislavleva1,
-    "vladislavleva2": _sample_vladislavleva2,
-    "vladislavleva7": _sample_vladislavleva7,
-    "pagie1": _sample_pagie1,
-    "poly10": _sample_poly10,
-    "friedman1": _sample_friedman,
-    "friedman2": _sample_friedman,
+Sampler = Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
+Target = Callable[[np.ndarray], np.ndarray]
+
+# name -> (spec, input sampler, target function of each variant); the
+# variant "" is the problem as its source prints it
+_PROBLEMS: dict[str, tuple[ProblemSpec, Sampler, dict[str, Target]]] = {
+    "keijzer5": (
+        ProblemSpec("keijzer5", 3, 1000, 10000, "x1,x3 ~ U[-1,1], x2 ~ U[1,2]"),
+        _sample_keijzer5,
+        {"": _keijzer5},
+    ),
+    "vladislavleva1": (
+        ProblemSpec(
+            "vladislavleva1", 2, 100, 2025, "train U[0.3,4]^2; test grid [-0.2,4.2] step 0.1"
+        ),
+        _sample_vladislavleva1,
+        {"": _vladislavleva1},
+    ),
+    "vladislavleva2": (
+        ProblemSpec(
+            "vladislavleva2", 1, 100, 221,
+            "train grid [0.05,10] step 0.1; test grid [-0.5,10.5] step 0.05",
+        ),
+        _sample_vladislavleva2,
+        {"": _vladislavleva2},
+    ),
+    "vladislavleva7": (
+        ProblemSpec(
+            "vladislavleva7", 2, 300, 1000, "train U[0.05,6.05]^2; test U[-0.25,6.35]^2"
+        ),
+        _sample_vladislavleva7,
+        {"": _vladislavleva7},
+    ),
+    "pagie1": (
+        ProblemSpec(
+            "pagie1", 2, 676, 1000, "train grid [-5,5] step 0.4 per axis; test U[-5,5]^2"
+        ),
+        _sample_pagie1,
+        {"": _pagie1},
+    ),
+    "poly10": (ProblemSpec("poly10", 10, 250, 250, "x ~ U[-1,1]^10"), _sample_poly10, {"": _poly10}),
+    "friedman1": (
+        ProblemSpec(
+            "friedman1", 10, 500, 5000, "x ~ U[0,1]^10; train targets + N(0,1)", noise=1.0
+        ),
+        _sample_friedman,
+        {"": _friedman1_printed, "literature": _friedman1_literature},
+    ),
+    "friedman2": (
+        ProblemSpec(
+            "friedman2", 10, 500, 5000, "x ~ U[0,1]^10; train targets + N(0,1)", noise=1.0
+        ),
+        _sample_friedman,
+        {"": _friedman2},
+    ),
 }
 
-_SPECS: dict[str, ProblemSpec] = {
-    "keijzer5": ProblemSpec("keijzer5", 3, 1000, 10000, "x1,x3 ~ U[-1,1], x2 ~ U[1,2]"),
-    "vladislavleva1": ProblemSpec(
-        "vladislavleva1", 2, 100, 2025, "train U[0.3,4]^2; test grid [-0.2,4.2] step 0.1"
-    ),
-    "vladislavleva2": ProblemSpec(
-        "vladislavleva2", 1, 100, 221, "train grid [0.05,10] step 0.1; test grid [-0.5,10.5] step 0.05"
-    ),
-    "vladislavleva7": ProblemSpec(
-        "vladislavleva7", 2, 300, 1000, "train U[0.05,6.05]^2; test U[-0.25,6.35]^2"
-    ),
-    "pagie1": ProblemSpec(
-        "pagie1", 2, 676, 1000, "train grid [-5,5] step 0.4 per axis; test U[-5,5]^2"
-    ),
-    "poly10": ProblemSpec("poly10", 10, 250, 250, "x ~ U[-1,1]^10"),
-    "friedman1": ProblemSpec(
-        "friedman1", 10, 500, 5000, "x ~ U[0,1]^10; train targets + N(0,1)", noise=1.0
-    ),
-    "friedman2": ProblemSpec(
-        "friedman2", 10, 500, 5000, "x ~ U[0,1]^10; train targets + N(0,1)", noise=1.0
-    ),
-}
+PROBLEM_NAMES = tuple(_PROBLEMS)
 
-PROBLEM_NAMES = tuple(_SPECS)
+
+def _entry(name: str) -> tuple[ProblemSpec, Sampler, dict[str, Target]]:
+    entry = _PROBLEMS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown problem '{name}' (available: {', '.join(PROBLEM_NAMES)})")
+    return entry
 
 
 def get_problem(name: str, variant: str = "") -> ProblemSpec:
-    spec = _SPECS.get(name)
-    if spec is None:
-        raise ValueError(
-            f"unknown problem '{name}' (available: {', '.join(PROBLEM_NAMES)})"
-        )
-    if variant:
-        if name != "friedman1" or variant not in FRIEDMAN1_VARIANTS:
-            raise ValueError(f"variant '{variant}' is not valid for problem '{name}'")
-        spec = replace(spec, variant=variant)
-    return spec
+    spec, _, targets = _entry(name)
+    if variant not in targets:
+        raise ValueError(f"variant '{variant}' is not valid for problem '{name}'")
+    return replace(spec, variant=variant) if variant else spec
 
 
 def list_problems() -> list[ProblemSpec]:
-    return [(_SPECS[name]) for name in PROBLEM_NAMES]
+    return [spec for spec, _, _ in _PROBLEMS.values()]
+
+
+def target_function(spec: ProblemSpec) -> Target:
+    """The noise-free target of a generated problem, as a function of the
+    input matrix (rows x variables)."""
+    target = _entry(spec.name)[2].get(spec.variant)
+    if target is None:
+        raise ValueError(f"unknown {spec.name} variant '{spec.variant}'")
+    return target
 
 
 def generate(spec: ProblemSpec | str, seed: int) -> Dataset:
@@ -223,12 +226,9 @@ def generate(spec: ProblemSpec | str, seed: int) -> Dataset:
     """
     if isinstance(spec, str):
         spec = get_problem(spec)
-    sampler = _SAMPLERS.get(spec.name)
-    if sampler is None:
-        raise ValueError(f"unknown problem '{spec.name}'")
     fn = target_function(spec)
     rng = np.random.default_rng(seed)
-    X_train, X_test = sampler(rng)
+    X_train, X_test = _entry(spec.name)[1](rng)
     X = np.vstack([X_train, X_test])
     with np.errstate(all="ignore"):
         y = fn(X)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import benchmarks
 from .complexity import MEASURES, RULE_TABLES
@@ -55,15 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ExperimentConfig fields that ``mosr run`` flags set; each flag's dest is
-# its field and its default is the field's default.
-_RUN_FIELDS = (
-    "problem", "variant", "data_path", "target", "train_fraction", "objective2", "rules",
-    "population_size", "max_evaluations", "max_length", "max_depth", "mutation_rate",
-    "tournament_size", "base_seed", "output_dir",
-)
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", choices=("",) + benchmarks.PROBLEM_NAMES)
     p.add_argument("--variant", help="'literature' for friedman1")
@@ -80,8 +72,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tournament-size", type=int)
     p.add_argument("--seed", type=int, dest="base_seed")
     p.add_argument("--out-dir", required=True, dest="output_dir")
+    # each flag's dest is an ExperimentConfig field; every field, flagged or
+    # not, defaults to the field's default
     defaults = ExperimentConfig()
-    p.set_defaults(**{name: getattr(defaults, name) for name in _RUN_FIELDS})
+    p.set_defaults(**{f.name: getattr(defaults, f.name) for f in fields(ExperimentConfig)})
 
 
 def _cmd_problems(_args) -> int:
@@ -103,7 +97,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig(**{name: getattr(args, name) for name in _RUN_FIELDS})
+    config = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     _, (result,) = execute_experiment(config)
     print(f"evaluations: {result.eval_count}")
     print(f"front size:  {len(result.front)}")

@@ -215,18 +215,12 @@ _NARY_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
-class _RuleFunctions(dict):
-    """Symbol -> rule function; a symbol without a rule raises."""
-
-    def __missing__(self, symbol: str):
-        raise RuleTableError(f"no complexity rule configured for symbol '{symbol}'")
-
-
 def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
     """The measure of ``rules``: each rule's function is chosen here, once,
     and the returned function folds a value stack over :func:`postorder`,
-    so trees of any depth can be measured."""
-    one, two, many = _RuleFunctions(), _RuleFunctions(), _RuleFunctions()
+    so trees of any depth can be measured.  ``rules`` must cover every
+    function symbol; :func:`make_measure` checks that."""
+    one, two, many = {}, {}, {}
     for symbol, rule in rules.rules.items():
         if rule.kind == "power":
             one[symbol] = partial(_saturating_pow, exponent=rule.parameter)
@@ -254,15 +248,6 @@ def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
         return stack[0]
 
     return measure
-
-
-def recursive_complexity(tree: Node, rules: ComplexityRuleTable) -> float:
-    """Fold the rule table bottom-up over the tree; saturates to +inf.
-
-    Walks an explicit value stack, not the recursion the name describes, so
-    trees of any depth can be measured.
-    """
-    return _complexity_fold(rules)(tree)
 
 
 MEASURES = ("variables", "tree_length", "visitation_length", "complexity")

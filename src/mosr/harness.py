@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Sequence
 
@@ -103,16 +103,9 @@ class ExperimentConfig:
 
     def engine_config(self, seed: int) -> EngineConfig:
         """The engine settings of the run with ``seed``."""
+        names = [f.name for f in fields(EngineConfig) if f.name != "seed"]
         try:
-            return EngineConfig(
-                population_size=self.population_size,
-                max_evaluations=self.max_evaluations,
-                max_length=self.max_length,
-                mutation_rate=self.mutation_rate,
-                tournament_size=self.tournament_size,
-                seed=seed,
-                max_depth=self.max_depth,
-            )
+            return EngineConfig(seed=seed, **{name: getattr(self, name) for name in names})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -155,25 +148,13 @@ class ExperimentConfig:
         return os.path.splitext(os.path.basename(self.data_path))[0]
 
 
+# config-file key -> (field, converter): each field but rule_overrides
+# (the rule.* keys), under its own name except data_path, read as the type
+# of its default
 _CONFIG_KEYS = {
-    "problem": ("problem", str),
-    "variant": ("variant", str),
-    "data": ("data_path", str),
-    "target": ("target", str),
-    "train_fraction": ("train_fraction", float),
-    "objective2": ("objective2", str),
-    "rules": ("rules", str),
-    "population_size": ("population_size", int),
-    "max_evaluations": ("max_evaluations", int),
-    "max_length": ("max_length", int),
-    "max_depth": ("max_depth", int),
-    "mutation_rate": ("mutation_rate", float),
-    "tournament_size": ("tournament_size", int),
-    "repetitions": ("repetitions", int),
-    "base_seed": ("base_seed", int),
-    "jobs": ("jobs", int),
-    "validation_fraction": ("validation_fraction", float),
-    "output_dir": ("output_dir", str),
+    "data" if f.name == "data_path" else f.name: (f.name, type(f.default))
+    for f in fields(ExperimentConfig)
+    if f.name != "rule_overrides"
 }
 
 
@@ -181,6 +162,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the ``key = value`` config format (see module docstring)."""
     config = ExperimentConfig()
     overrides: dict[str, str] = {}
+    key_lines: dict[str, int] = {}  # the line that set each key
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,6 +172,9 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
+        if key in key_lines:
+            raise ConfigError(f"line {line_no}: '{key}' is already set on line {key_lines[key]}")
+        key_lines[key] = line_no
         if key.startswith("rule."):
             overrides[key[len("rule."):]] = value
             continue
@@ -327,16 +312,6 @@ def write_front_csv(models: Sequence[FrontModel], path: str) -> None:
             f"{repr(m.test_nmse)},{m.sexpr}"
         )
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def export_pareto_csv(front: Sequence[Individual], dataset: Dataset, path: str) -> list[FrontModel]:
-    """Write one CSV row per front member, sorted by the complexity
-    objective ascending; returns the scored models."""
-    models = _front_models(
-        front, dataset.X_train, dataset.y_train, dataset.X_test, dataset.y_test
-    )
-    write_front_csv(models, path)
-    return models
 
 
 def _split_validation(

@@ -18,7 +18,6 @@ from mosr.complexity import (
     default_rule_table,
     figure_consistent_rule_table,
     make_measure,
-    recursive_complexity,
 )
 from mosr.harness import ExperimentConfig, execute_experiment
 from mosr.metrics import fit_linear_scaling, nmse, pearson_r2, scaled_nmse
@@ -48,12 +47,12 @@ def test_criterion_1_complexity_fixtures():
     tree_length = make_measure("tree_length")
     assert tree_length(f1) == 4
     assert tree_length(f2) == 9
-    figure = figure_consistent_rule_table()
-    assert recursive_complexity(f1, figure) == 65536.0
-    assert recursive_complexity(f2, figure) == 17.0
-    literal = default_rule_table()
-    assert recursive_complexity(f1, literal) == 2.0**256
-    assert recursive_complexity(f2, literal) == 9.0
+    figure = make_measure("complexity", figure_consistent_rule_table())
+    assert figure(f1) == 65536.0
+    assert figure(f2) == 17.0
+    literal = make_measure("complexity", default_rule_table())
+    assert literal(f1) == 2.0**256
+    assert literal(f2) == 9.0
     _report(1, "complexity fixtures (lengths 4/9; 65536/17; 2^256/9)")
 
 

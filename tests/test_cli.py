@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -247,7 +248,7 @@ def test_bad_csv_exits_before_the_output_directory(tmp_path, capsys):
 def test_run_flag_defaults_are_config_defaults():
     args = cli._build_parser().parse_args(["run", "--out-dir", "out"])
     defaults = ExperimentConfig()
-    for name in cli._RUN_FIELDS:
-        if name != "output_dir":
-            assert getattr(args, name) == getattr(defaults, name), name
+    for f in fields(ExperimentConfig):
+        if f.name != "output_dir":
+            assert getattr(args, f.name) == getattr(defaults, f.name), f.name
     assert args.output_dir == "out"

@@ -10,7 +10,6 @@ from mosr.complexity import (
     default_rule_table,
     figure_consistent_rule_table,
     make_measure,
-    recursive_complexity,
     rule_from_string,
 )
 from mosr.sexpr import parse_sexpr
@@ -22,6 +21,10 @@ F2 = "(+ (* 7 (square x0)) (* 3 x0) 5)"
 
 variable_count = make_measure("variables")
 visitation_length = make_measure("visitation_length")
+
+
+def complexity(tree, table):
+    return make_measure("complexity", table)(tree)
 
 
 class TestCounts:
@@ -92,38 +95,41 @@ def _reference_apply(rule, child_values):
 class TestRecursiveComplexity:
     def test_leaves(self):
         table = default_rule_table()
-        assert recursive_complexity(constant(5.0), table) == 1.0
-        assert recursive_complexity(variable(0), table) == 2.0
+        assert complexity(constant(5.0), table) == 1.0
+        assert complexity(variable(0), table) == 2.0
 
     def test_sum_rule(self):
-        assert recursive_complexity(parse_sexpr("(+ x0 x0)"), default_rule_table()) == 4.0
+        assert complexity(parse_sexpr("(+ x0 x0)"), default_rule_table()) == 4.0
 
     def test_chain_under_default_table(self):
         # var 2 -> sqrt 2^3 = 8 -> sin 2^8 = 256 -> exp 2^256
-        assert recursive_complexity(parse_sexpr(F1), default_rule_table()) == 2.0**256
+        assert complexity(parse_sexpr(F1), default_rule_table()) == 2.0**256
 
     def test_chain_under_figure_table(self):
         # var 2 -> sqrt 2^2 = 4 -> sin 2^4 = 16 -> exp 2^16 = 65536
-        assert recursive_complexity(parse_sexpr(F1), figure_consistent_rule_table()) == 65536.0
+        assert complexity(parse_sexpr(F1), figure_consistent_rule_table()) == 65536.0
 
     def test_polynomial_under_default_table(self):
         # (1*4)+1 = 5, (1*2)+1 = 3, 5+3+1 = 9
-        assert recursive_complexity(parse_sexpr(F2), default_rule_table()) == 9.0
+        assert complexity(parse_sexpr(F2), default_rule_table()) == 9.0
 
     def test_polynomial_under_figure_table(self):
         # (1+1)(4+1) = 10, (1+1)(2+1) = 6, 10+6+1 = 17
-        assert recursive_complexity(parse_sexpr(F2), figure_consistent_rule_table()) == 17.0
+        assert complexity(parse_sexpr(F2), figure_consistent_rule_table()) == 17.0
 
     def test_saturates_to_inf(self):
         tree = parse_sexpr("(exp (exp (exp (exp x0))))")
-        value = recursive_complexity(tree, default_rule_table())
+        value = complexity(tree, default_rule_table())
         assert value == math.inf
         assert value > 1e308  # still ordered above every finite value
 
     def test_missing_rule_is_config_error(self):
-        table = ComplexityRuleTable(rules={"add": Rule("sum")})
-        with pytest.raises(RuleTableError, match="sin"):
-            recursive_complexity(parse_sexpr("(sin x0)"), table)
+        rules = dict(default_rule_table().rules)
+        del rules["sin"]
+        with pytest.raises(RuleTableError, match="no complexity rule configured for symbol 'sin'"):
+            make_measure("complexity", ComplexityRuleTable(rules=rules))
+        with pytest.raises(RuleTableError, match="symbol 'sub'"):
+            make_measure("complexity", ComplexityRuleTable(rules={"add": Rule("sum")}))
 
     def test_leaf_values_must_be_at_least_one(self):
         with pytest.raises(RuleTableError):
@@ -145,10 +151,11 @@ class TestRecursiveComplexity:
             rng = np.random.default_rng(23)
             for _ in range(150):
                 tree = random_tree(rng, n_variables=2, max_length=25)
+                measure = make_measure("complexity", table)
                 def check(node):
-                    v = recursive_complexity(node, table)
+                    v = measure(node)
                     for child in node.children:
-                        assert v >= recursive_complexity(child, table)
+                        assert v >= measure(child)
                         check(child)
                 check(tree)
 
@@ -185,31 +192,28 @@ class TestRecursiveComplexity:
         for table in (literal, figure_consistent_rule_table(), odd, crossed):
             measure = make_measure("complexity", table)
             for tree in trees:
-                want = reference(tree, table).hex()
-                assert recursive_complexity(tree, table).hex() == want
-                assert measure(tree).hex() == want
+                assert measure(tree).hex() == reference(tree, table).hex()
 
     def test_deep_models_are_measured(self):
         # deeper than the interpreter's recursion limit
         depth = 3000
         chain = parse_sexpr("(sin " * depth + "x0" + ")" * depth)
-        assert recursive_complexity(chain, default_rule_table()) == math.inf
         assert make_measure("complexity")(chain) == math.inf
         sums = parse_sexpr("(+ 1 " * depth + "x0" + ")" * depth)
-        assert recursive_complexity(sums, default_rule_table()) == depth + 2.0
+        assert make_measure("complexity")(sums) == depth + 2.0
 
     def test_constant_to_variable_never_decreases(self):
-        table = default_rule_table()
+        measure = make_measure("complexity", default_rule_table())
         rng = np.random.default_rng(31)
         for _ in range(150):
             tree = random_tree(rng, n_variables=2, max_length=25)
             const_positions = [
                 i for i in range(tree.size) if subtree_at(tree, i)[0].symbol == "const"
             ]
-            base = recursive_complexity(tree, table)
+            base = measure(tree)
             for pos in const_positions:
                 grown = replace_subtree(tree, pos, variable(0))
-                assert recursive_complexity(grown, table) >= base
+                assert measure(grown) >= base
 
 
 class TestInvariantRelations:
@@ -258,8 +262,8 @@ class TestRuleConfig:
             }
         )
         f1, f2 = parse_sexpr(F1), parse_sexpr(F2)
-        assert recursive_complexity(f1, table) == 65536.0
-        assert recursive_complexity(f2, table) == 17.0
+        assert complexity(f1, table) == 65536.0
+        assert complexity(f2, table) == 17.0
 
 
 class TestMeasureFactory:

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from mosr.harness import (
     ExperimentConfig,
     FrontModel,
     RunResult,
+    _front_models,
     _mean_std,
     aggregate_results,
     execute_experiment,
     execute_run,
-    export_pareto_csv,
     load_config,
     parse_config,
     select_best,
@@ -148,12 +149,79 @@ class TestConfigParsing:
     def test_engine_defaults_come_from_engine_config(self):
         engine = EngineConfig()
         config = ExperimentConfig()
-        for name in (
-            "population_size", "max_evaluations", "max_length", "max_depth",
-            "mutation_rate", "tournament_size",
-        ):
+        names = [f.name for f in fields(EngineConfig) if f.name != "seed"]
+        assert {"population_size", "max_evaluations", "max_depth", "mutation_rate"} <= set(names)
+        for name in names:
             assert getattr(config, name) == getattr(engine, name), name
+            assert type(getattr(config, name)) is type(getattr(engine, name)), name
         assert config.engine_config(7) == EngineConfig(seed=7)
+
+    def test_engine_config_copies_every_engine_setting(self):
+        config = parse_config(
+            "problem = poly10\npopulation_size = 40\nmax_evaluations = 400\nmax_length = 30\n"
+            "max_depth = 9\nmutation_rate = 0.5\ntournament_size = 3\n"
+        )
+        assert config.engine_config(11) == EngineConfig(
+            population_size=40, max_evaluations=400, max_length=30, max_depth=9,
+            mutation_rate=0.5, tournament_size=3, seed=11,
+        )
+
+    def test_every_field_parses_from_its_key(self):
+        values = {
+            "problem": "friedman1", "variant": "literature", "train_fraction": "0.5",
+            "objective2": "complexity", "rules": "figure", "population_size": "40",
+            "max_evaluations": "400", "max_length": "30", "max_depth": "9",
+            "mutation_rate": "0.5", "tournament_size": "3", "repetitions": "2",
+            "base_seed": "5", "jobs": "2", "validation_fraction": "0.25",
+            "output_dir": "elsewhere",
+        }
+        config = parse_config("".join(f"{key} = {value}\n" for key, value in values.items()))
+        defaults = ExperimentConfig()
+        for key, value in values.items():
+            parsed = getattr(config, key)
+            assert parsed == type(getattr(defaults, key))(value) != getattr(defaults, key), key
+        from_data = parse_config("data = some/file.csv\ntarget = y\n")
+        assert (from_data.data_path, from_data.target) == ("some/file.csv", "y")
+        keyed = set(values) | {"data_path", "target", "rule_overrides"}
+        assert keyed == {f.name for f in fields(ExperimentConfig)}
+        for name in ("data_path", "rule_overrides"):
+            with pytest.raises(ConfigError, match=f"line 2: unknown key '{name}'"):
+                parse_config(f"problem = poly10\n{name} = x\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("repetitions = few", "line 2: bad int value 'few' for 'repetitions'"),
+            ("population_size = 1.5", "line 2: bad int value '1.5' for 'population_size'"),
+            ("mutation_rate = high", "line 2: bad float value 'high' for 'mutation_rate'"),
+        ],
+    )
+    def test_bad_value_names_its_type(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"problem = keijzer5\n{line}\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "problem = poly10\npopulation_size = 50\n\npopulation_size = 80\n",
+                "line 4: 'population_size' is already set on line 2",
+            ),
+            (
+                "data = a.csv\ntarget = y\ndata = b.csv  # again\n",
+                "line 3: 'data' is already set on line 1",
+            ),
+            (
+                "problem = poly10\nrule.sqrt = power:2\nrule.sin = sum\nrule.sqrt = power:3\n",
+                "line 4: 'rule.sqrt' is already set on line 2",
+            ),
+        ],
+    )
+    def test_key_set_twice_is_rejected(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
 
 
 class TestExecuteRun:
@@ -411,7 +479,8 @@ class TestFrontExport:
             acc = 1.0 - pearson_r2(evaluate_matrix(t, ds.X_train), ds.y_train)
             front.append(Individual(tree=t, objectives=(acc, float(t.size))))
         path = str(tmp_path / "front.csv")
-        models = export_pareto_csv(front, ds, path)
+        models = _front_models(front, ds.X_train, ds.y_train, ds.X_test, ds.y_test)
+        write_front_csv(models, path)
         lines = open(path).read().splitlines()
         assert lines[0] == "length,objective2,train_nmse,test_nmse,model"
         assert len(lines) == 4
