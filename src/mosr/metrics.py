@@ -40,6 +40,12 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+def _is_constant(p: np.ndarray) -> bool:
+    """Zero variance, decided exactly: the mean of n copies of ``c`` need
+    not be ``c``, so centring can leave a tiny nonzero constant."""
+    return bool(p[0] == p[-1] and (p == p[0]).all())
+
+
 def make_pearson_r2(actual) -> Callable[[object], float]:
     """Prepared :func:`pearson_r2` against the fixed target ``actual``.
 
@@ -69,7 +75,7 @@ def make_pearson_r2(actual) -> Callable[[object], float]:
 
     def r2(pred) -> float:
         p, _ = _as_pair(pred, a)
-        if an is None:
+        if an is None or _is_constant(p):
             return 0.0
         with np.errstate(all="ignore"):
             p_mean = p.mean()
@@ -119,12 +125,12 @@ def fit_linear_scaling(pred, actual) -> tuple[float, float]:
     """
     p, a = _as_pair(pred, actual)
     a_mean = float(a.mean())
-    if not np.isfinite(p).all():
+    if not np.isfinite(p).all() or _is_constant(p):
         return 0.0, a_mean
     with np.errstate(all="ignore"):
         p_centered = p - p.mean()
         p_scale = float(np.abs(p_centered).max())
-    if not 0.0 < p_scale < math.inf:  # constant, or centering overflowed
+    if not 0.0 < p_scale < math.inf:  # centering overflowed
         return 0.0, a_mean
     pn = p_centered / p_scale  # overflow-safe normal equations
     with np.errstate(all="ignore"):

@@ -19,6 +19,8 @@ def _reference_pearson_r2(pred, actual) -> float:
     a = np.asarray(actual, dtype=float)
     if not (np.isfinite(p).all() and np.isfinite(a).all()):
         return 0.0
+    if (p == p[0]).all():  # zero variance, decided exactly
+        return 0.0
     with np.errstate(all="ignore"):
         p_centered = p - p.mean()
         a_centered = a - a.mean()
@@ -67,6 +69,17 @@ class TestPearsonR2:
     def test_zero_variance_convention(self):
         assert pearson_r2([5, 5, 5], [1, 2, 3]) == 0.0
         assert pearson_r2([1, 2, 3], [7, 7, 7]) == 0.0
+
+    def test_constant_predictions_score_exactly_zero(self):
+        # the mean of n copies of c is not always c, so centring alone
+        # leaves a tiny constant with a nonzero scale
+        rng = np.random.default_rng(12)
+        y = rng.normal(size=15000)
+        r2 = make_pearson_r2(y)
+        for c in np.concatenate([rng.uniform(-20.0, 20.0, 200), [18.01854785303741]]):
+            pred = np.full(15000, c)
+            assert r2(pred) == 0.0 and pearson_r2(pred, y) == 0.0, c
+            assert fit_linear_scaling(pred, y) == (0.0, float(y.mean())), c
 
     def test_nonfinite_convention(self):
         assert pearson_r2([1, math.inf, 3], [1, 2, 3]) == 0.0
