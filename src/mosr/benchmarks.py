@@ -130,7 +130,8 @@ def _sample_friedman(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return rng.uniform(0.0, 1.0, (500, 10)), rng.uniform(0.0, 1.0, (5000, 10))
 
 
-Sampler = Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
+# quoted: naming np.random here would import it with this module
+Sampler = Callable[["np.random.Generator"], tuple[np.ndarray, np.ndarray]]
 Target = Callable[[np.ndarray], np.ndarray]
 
 # name -> (spec, input sampler, target function of each variant); the
@@ -170,7 +171,9 @@ _PROBLEMS: dict[str, tuple[ProblemSpec, Sampler, dict[str, Target]]] = {
         _sample_pagie1,
         {"": _pagie1},
     ),
-    "poly10": (ProblemSpec("poly10", 10, 250, 250, "x ~ U[-1,1]^10"), _sample_poly10, {"": _poly10}),
+    "poly10": (
+        ProblemSpec("poly10", 10, 250, 250, "x ~ U[-1,1]^10"), _sample_poly10, {"": _poly10}
+    ),
     "friedman1": (
         ProblemSpec(
             "friedman1", 10, 500, 5000, "x ~ U[0,1]^10; train targets + N(0,1)", noise=1.0

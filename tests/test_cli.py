@@ -178,6 +178,21 @@ def test_console_entry_point(tmp_path):
     assert "keijzer5" in result.stdout
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; importing it with the CLI would
+    # cost every process start and, in a pool, about 1.5 MB of peak RSS
+    code = (
+        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; import mosr.cli; "
+        "print(lazy, 'numpy.random' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lazy, loaded = result.stdout.split()
+    if lazy == "False":
+        pytest.skip("this numpy imports numpy.random eagerly")
+    assert loaded == "False"
+
+
 def test_experiment_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product over its threads above 10k elements, so
     # the training rows exceed that; a BLAS dot would move the last bits of

@@ -126,7 +126,8 @@ class TestRecursiveComplexity:
     def test_missing_rule_is_config_error(self):
         rules = dict(default_rule_table().rules)
         del rules["sin"]
-        with pytest.raises(RuleTableError, match="no complexity rule configured for symbol 'sin'"):
+        message = "no complexity rule configured for symbol 'sin'"
+        with pytest.raises(RuleTableError, match=message):
             make_measure("complexity", ComplexityRuleTable(rules=rules))
         with pytest.raises(RuleTableError, match="symbol 'sub'"):
             make_measure("complexity", ComplexityRuleTable(rules={"add": Rule("sum")}))

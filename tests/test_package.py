@@ -30,7 +30,8 @@ USED_BY_BENCHMARK = {
 @pytest.mark.parametrize("module", sorted(USED_BY_BENCHMARK))
 def test_attributes_the_benchmark_uses_resolve(module):
     mod = importlib.import_module(f"mosr.{module}")
-    missing = [name for name in USED_BY_BENCHMARK[module] if not callable(getattr(mod, name, None))]
+    names = USED_BY_BENCHMARK[module]
+    missing = [name for name in names if not callable(getattr(mod, name, None))]
     assert missing == []
 
 
