@@ -214,7 +214,8 @@ def list_problems() -> list[ProblemSpec]:
 def target_function(spec: ProblemSpec) -> Target:
     """The noise-free target of a generated problem, as a function of the
     input matrix (rows x variables)."""
-    target = _entry(spec.name)[2].get(spec.variant)
+    _, _, targets = _entry(spec.name)
+    target = targets.get(spec.variant)
     if target is None:
         raise ValueError(f"unknown {spec.name} variant '{spec.variant}'")
     return target
@@ -230,8 +231,9 @@ def generate(spec: ProblemSpec | str, seed: int) -> Dataset:
     if isinstance(spec, str):
         spec = get_problem(spec)
     fn = target_function(spec)
+    _, sample, _ = _entry(spec.name)
     rng = np.random.default_rng(seed)
-    X_train, X_test = _entry(spec.name)[1](rng)
+    X_train, X_test = sample(rng)
     X = np.vstack([X_train, X_test])
     with np.errstate(all="ignore"):
         y = fn(X)

@@ -149,10 +149,10 @@ class TestRecursiveComplexity:
     def test_monotone_in_children(self):
         # every non-leaf node's value >= max of its children's values
         for table in (default_rule_table(), figure_consistent_rule_table()):
+            measure = make_measure("complexity", table)
             rng = np.random.default_rng(23)
             for _ in range(150):
                 tree = random_tree(rng, n_variables=2, max_length=25)
-                measure = make_measure("complexity", table)
                 def check(node):
                     v = measure(node)
                     for child in node.children:
