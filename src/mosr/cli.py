@@ -89,6 +89,8 @@ def _cmd_problems(_args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     spec = benchmarks.get_problem(args.problem, args.variant)
     dataset = benchmarks.generate(spec, args.seed)
     benchmarks.save_csv(dataset, args.out)

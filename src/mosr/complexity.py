@@ -215,10 +215,10 @@ _NARY_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
-def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
-    """The measure of ``rules``: each rule's function is chosen here, once,
-    and the returned function folds a value stack over :func:`postorder`,
-    so trees of any depth can be measured.  ``rules`` must cover every
+def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[list[Node]], float]:
+    """The measure of ``rules`` as a fold of a value stack over a tree's
+    :func:`postorder` list, so trees of any depth can be measured.  Each
+    rule's function is chosen here, once.  ``rules`` must cover every
     function symbol; :func:`make_measure` checks that."""
     one, two, many = {}, {}, {}
     for symbol, rule in rules.rules.items():
@@ -230,9 +230,9 @@ def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
             one[symbol], two[symbol], many[symbol] = _NARY_KINDS[rule.kind]
     constant_value, variable_value = float(rules.constant_value), float(rules.variable_value)
 
-    def measure(tree: Node) -> float:
+    def fold(order: list[Node]) -> float:
         stack: list[float] = []
-        for node in postorder(tree):
+        for node in order:
             kids = node.children
             if not kids:
                 stack.append(constant_value if node.symbol == "const" else variable_value)
@@ -247,25 +247,41 @@ def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[Node], float]:
                 stack.append(many[node.symbol](values))
         return stack[0]
 
-    return measure
+    return fold
 
 
 MEASURES = ("variables", "tree_length", "visitation_length", "complexity")
+
+# The measures without rules, each a function of a tree's postorder list,
+# whose last node is the root.
+_RULELESS_FOLDS: dict[str, Callable[[list[Node]], float]] = {
+    "variables": lambda order: float(order[-1].n_var),
+    "tree_length": lambda order: float(order[-1].size),
+    "visitation_length": lambda order: float(sum(n.size for n in order)),
+}
 
 
 def make_measure(
     name: str, rule_table: ComplexityRuleTable | None = None
 ) -> Callable[[Node], float]:
-    """Objective function for one measure name (see :data:`MEASURES`)."""
-    if name == "variables":
-        return lambda tree: float(tree.n_var)
-    if name == "tree_length":
-        return lambda tree: float(tree.size)
-    if name == "visitation_length":
-        return lambda tree: float(sum(n.size for n in postorder(tree)))
+    """Objective function for one measure name (see :data:`MEASURES`).
+
+    The returned function of a tree has a ``fold`` attribute: the same
+    measure as a function of the tree's :func:`postorder` list, for a
+    caller that has listed the tree already.
+    """
     if name == "complexity":
         table = rule_table if rule_table is not None else default_rule_table()
         for symbol in BINARY_SYMBOLS + UNARY_SYMBOLS:
             table.rule_for(symbol)  # fail fast on incomplete tables
-        return _complexity_fold(table)
-    raise ValueError(f"unknown complexity measure '{name}' (choose from {MEASURES})")
+        fold = _complexity_fold(table)
+    elif name in _RULELESS_FOLDS:
+        fold = _RULELESS_FOLDS[name]
+    else:
+        raise ValueError(f"unknown complexity measure '{name}' (choose from {MEASURES})")
+
+    def measure(tree: Node) -> float:
+        return fold(postorder(tree))
+
+    measure.fold = fold
+    return measure

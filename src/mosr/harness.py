@@ -90,6 +90,8 @@ class ExperimentConfig:
             )
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if not 0.0 <= self.train_fraction <= 1.0:
@@ -194,7 +196,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading byte order mark is dropped
         return parse_config(handle.read())
 
 
@@ -324,6 +326,14 @@ def _split_validation(
     return train_rows[: train_rows.size - n_val], train_rows[train_rows.size - n_val:]
 
 
+def _scoring_shares(config: ExperimentConfig) -> int:
+    """Processes a run may score a batch of trees on: the cores this
+    process may run on, over the runs ``config`` executes at once."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // min(config.jobs, config.repetitions))
+
+
 def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     """One seeded run: dataset, evolution, front extraction, best-model
     scoring.  Errors are re-raised with the run context attached."""
@@ -340,11 +350,18 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows
         # are gathered again for the front rather than held through the run
-        r2_fit = make_matrix_evaluator(dataset.columns[fit_rows], score=make_pearson_r2(y_fit))
+        r2_and_measure = make_matrix_evaluator(
+            dataset.columns[fit_rows],
+            score=make_pearson_r2(y_fit),
+            measure=measure.fold,
+            shares=_scoring_shares(config),
+        )
 
         def objective(tree) -> tuple[float, float]:
-            return 1.0 - r2_fit(tree), measure(tree)
+            r2, complexity = r2_and_measure(tree)
+            return 1.0 - r2, complexity
 
+        objective.prepare = r2_and_measure.prepare
         population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
         front = pareto_front(population)
         models = _front_models(

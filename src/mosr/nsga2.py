@@ -13,8 +13,15 @@ ever created is evaluated exactly once; the run stops at the end of the
 generation in which the evaluation budget is reached, so the final count is
 in [max_evaluations, max_evaluations + population_size).
 
+Each generation's offspring, like the initial population, are all built
+before any is evaluated, in the order they are drawn, and evaluated in that
+order; an objective function with a ``prepare(trees)`` attribute is handed
+the whole batch first.  Evaluation draws nothing, so this order gives the
+same draws as evaluating each offspring as it is built.
+
 Everything is deterministic for a fixed seed; the engine owns a single
-numpy Generator and never touches global randomness.
+numpy Generator, draws from it through :class:`Draws`, and never touches
+global randomness.
 """
 
 from __future__ import annotations
@@ -70,6 +77,57 @@ class EngineConfig:
             raise ValueError("max_length must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+
+
+class Draws:
+    """The engine's draws from one numpy ``Generator``, read from its bit
+    generator's C entry points where numpy's own method adds per-call
+    overhead.  Each method returns what the same call on the Generator
+    returns (as a Python int or float) and leaves its state as that call
+    would, so the two can be used in turn on one state.
+
+    * ``integers(n)`` and ``integers(low, high)``: numpy's Lemire rejection
+      over ``next_uint32`` for a span ``high - low`` from 2 to 2**32 - 1; a
+      span of 1 returns ``low`` without a draw; any other span is the
+      Generator's own call.
+    * ``random()``: ``next_double``.
+    * ``uniform(low, high)``: ``low + (high - low) * next_double``.
+    * ``normal``: the Generator's own method.
+    """
+
+    __slots__ = ("_generator", "_state", "_next_uint32", "_next_double", "normal")
+
+    def __init__(self, generator: np.random.Generator):
+        entry_points = generator.bit_generator.ctypes
+        self._generator = generator
+        self._state = entry_points.state
+        self._next_uint32 = entry_points.next_uint32
+        self._next_double = entry_points.next_double
+        self.normal = generator.normal
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if 1 < span < 0x1_0000_0000:
+            next_uint32, state = self._next_uint32, self._state
+            product = next_uint32(state) * span
+            leftover = product & 0xFFFF_FFFF
+            if leftover < span:
+                threshold = (0x1_0000_0000 - span) % span
+                while leftover < threshold:
+                    product = next_uint32(state) * span
+                    leftover = product & 0xFFFF_FFFF
+            return low + (product >> 32)
+        if span == 1:
+            return low
+        return int(self._generator.integers(low, high))
+
+    def random(self) -> float:
+        return self._next_double(self._state)
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self._next_double(self._state)
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -263,33 +321,41 @@ def run(
 
     ``objective_fn`` maps a tree to its minimized objective vector (here
     typically ``(1 - R^2 on training rows, complexity measure)``).  Each
-    initial individual and each offspring counts as one evaluation.
-    ``on_generation(generation, population, evaluations)`` is called after
-    every environmental selection.
+    initial individual and each offspring counts as one evaluation, and is
+    one call of ``objective_fn``.  If ``objective_fn`` has a ``prepare``
+    attribute, ``prepare(trees)`` is called with each batch (the initial
+    population, then each generation's offspring) before its trees are
+    evaluated one by one.  ``on_generation(generation, population,
+    evaluations)`` is called after every environmental selection.
     """
-    rng = np.random.default_rng(config.seed)
-    population = [
-        _evaluate(
-            random_tree(rng, n_variables, config.max_length, config.max_depth),
-            objective_fn,
-        )
+    rng = Draws(np.random.default_rng(config.seed))
+    prepare = getattr(objective_fn, "prepare", None)
+
+    def evaluate(trees: list[Node]) -> list[Individual]:
+        if prepare is not None:
+            prepare(trees)
+        return [_evaluate(tree, objective_fn) for tree in trees]
+
+    population = evaluate([
+        random_tree(rng, n_variables, config.max_length, config.max_depth)
         for _ in range(config.population_size)
-    ]
+    ])
     evaluations = config.population_size
     for front in _selection_sort(population):
         crowding_distance(front)
 
     generation = 0
     while evaluations < config.max_evaluations:
-        offspring: list[Individual] = []
+        children: list[Node] = []
         for _ in range(config.population_size):
             p1 = tournament_select(population, rng, config.tournament_size)
             p2 = tournament_select(population, rng, config.tournament_size)
             child = crossover(p1.tree, p2.tree, rng, config.max_length, config.max_depth)
             if rng.random() < config.mutation_rate:
                 child = mutate(child, rng, n_variables, config.max_length, config.max_depth)
-            offspring.append(_evaluate(child, objective_fn))
-            evaluations += 1
+            children.append(child)
+        offspring = evaluate(children)
+        evaluations += len(offspring)
         population = _environmental_selection(population + offspring, config.population_size)
         generation += 1
         if on_generation is not None:

@@ -20,7 +20,8 @@ of a matrix once and returns a callable that scores trees on them;
 :func:`evaluate_matrix` is that callable applied to a single tree.  Given
 a score function (the search objective's R^2), the callable returns the
 score of the values instead, and keeps the scores of the distinct trees it
-saw last, keyed by structure.
+saw last, keyed by structure; its ``prepare`` scores a batch of trees
+ahead of their calls, split over forked processes.
 
 Function symbols:
 
@@ -38,6 +39,10 @@ to be penalised by the fitness function, not masked here.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import OrderedDict
 from typing import Callable, Sequence
 
@@ -268,6 +273,12 @@ _PROBE_MIN_ROWS = 2048
 # and 34.4 %.
 _MEMO_SIZE = 2048
 
+# The fewest tree-rows (trees to score times rows of X) each process of a
+# split batch is given.  Scoring distinct trees of a keijzer5 run on two
+# cores, the split broke even at about 1M tree-rows in all (64 trees of
+# 15,000 rows, 192 of 5000) and took 0.85x the time at 1.5M.
+_SPLIT_MIN_WORK = 750_000
+
 
 def _read_only_columns(X: np.ndarray) -> list[np.ndarray]:
     cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
@@ -359,7 +370,11 @@ def _structure_key(order: list[Node]) -> tuple:
 
 
 def make_matrix_evaluator(
-    X: np.ndarray, *, score: Callable[[np.ndarray], object] | None = None
+    X: np.ndarray,
+    *,
+    score: Callable[[np.ndarray], object] | None = None,
+    measure: Callable[[list[Node]], object] | None = None,
+    shares: int = 1,
 ) -> Callable[[Node], object]:
     """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
 
@@ -378,9 +393,12 @@ def make_matrix_evaluator(
     same value for every vector holding a NaN (Pearson R^2 is one), the
     callable returns ``score`` of the tree's values instead of the values.
     ``score`` must not write to its argument, which may be a column of
-    ``X`` or a stored value.  The score of each of the last ``_MEMO_SIZE``
-    distinct trees scored is kept, keyed by structure, and a tree equal
-    to one of them gets its kept score without being evaluated.
+    ``X`` or a stored value.  With ``measure`` as well, a function of the
+    :func:`postorder` list of a tree (``make_measure(...).fold``), the
+    callable returns the pair ``(score, measure)``, and the measure is
+    folded over the list the evaluator made.  The value of each of the last
+    ``_MEMO_SIZE`` distinct trees scored is kept, keyed by structure, and a
+    tree equal to one of them gets its kept value without being evaluated.
 
     Given ``score``, the callable also returns the score of an all-NaN
     vector, computed once, for some trees whose exact value holds a NaN in
@@ -393,6 +411,19 @@ def make_matrix_evaluator(
     failed domain test or a NaN there ends it as well.  Every operator is
     elementwise, so a probe row is bit-equal to that row of the full
     evaluation.
+
+    The scoring callable has a ``prepare(trees)`` method that scores a
+    batch of trees ahead of their calls.  It lists each tree once, scores
+    the distinct trees that are not kept, and leaves every kept value, and
+    the order in which they were last used, as the calls one by one in
+    batch order would; each later call for one of these tree objects
+    returns its value at once, until the next ``prepare``.  The trees to
+    score are dealt over this process and up to ``shares - 1`` children
+    forked for the batch (see :func:`_score_split`), so that each process
+    scores at least ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends
+    on the tree alone, so where it is computed changes no value.  When the
+    batch is too small to split even if no tree in it is kept, ``prepare``
+    does nothing and each call scores its tree.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -429,14 +460,10 @@ def make_matrix_evaluator(
         probe = _make_fold(_read_only_columns(X[_probe_rows(n_rows)]), unary, _DOMAIN_TEST)
     nan_score = score(np.full(n_rows, np.nan))
     memo: OrderedDict[tuple, object] = OrderedDict()  # least recently used first
+    # id of each tree of the last prepared batch -> (the tree, its value)
+    prepared: dict[int, tuple[Node, object]] = {}
 
-    def score_tree(tree: Node):
-        check_columns(tree)  # before the lookup: a bad tree raises every time
-        order = postorder(tree)
-        key = _structure_key(order)
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
+    def score_order(order: list[Node]):
         out = None
         with np.errstate(all="ignore"):
             if (
@@ -449,12 +476,127 @@ def make_matrix_evaluator(
             value = nan_score
         else:
             value = score(np.full(n_rows, float(out)) if np.ndim(out) == 0 else out)
+        return value if measure is None else (value, measure(order))
+
+    def keep(key: tuple, value) -> None:
         memo[key] = value
         if len(memo) > _MEMO_SIZE:
             memo.popitem(last=False)
+
+    def score_tree(tree: Node):
+        entry = prepared.get(id(tree))
+        if entry is not None and entry[0] is tree:
+            return entry[1]
+        check_columns(tree)  # before the lookup: a bad tree raises every time
+        order = postorder(tree)
+        key = _structure_key(order)
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = score_order(order)
+        keep(key, value)
         return value
 
+    def prepare(trees: Sequence[Node]) -> None:
+        prepared.clear()
+        if len(trees) * n_rows < 2 * _SPLIT_MIN_WORK or shares < 2:
+            return
+        keys: list[tuple | None] = []  # None: a tree the call rejects
+        values: dict[tuple, object] = {}  # key -> value, for the kept trees
+        misses: dict[tuple, list[Node]] = {}  # key -> listing, for the rest
+        for tree in trees:
+            if tree.max_var >= n_cols:
+                keys.append(None)
+                continue
+            order = postorder(tree)
+            key = _structure_key(order)
+            keys.append(key)
+            if key in memo:
+                values[key] = memo[key]
+            elif key not in misses:
+                misses[key] = order
+        split = min(shares, len(misses) * n_rows // _SPLIT_MIN_WORK)
+        values.update(zip(misses, _score_split(score_order, list(misses.values()), split)))
+        # the kept values and their order of use, as the calls would leave them
+        for tree, key in zip(trees, keys):
+            if key is not None:
+                if key in memo:
+                    memo.move_to_end(key)
+                else:
+                    keep(key, values[key])
+                prepared[id(tree)] = (tree, values[key])
+
+    score_tree.prepare = prepare
     return score_tree
+
+
+def _score_split(score_order: Callable, orders: list, shares: int) -> list:
+    """``score_order`` of each listing in ``orders``, the listings dealt
+    round-robin over this process and ``shares - 1`` forked children.
+
+    Each child inherits the evaluator and the listings, sends its values
+    through a pipe and leaves by ``os._exit``; every child is reaped before
+    this returns or raises.  A share whose child could not be forked or
+    sent nothing is scored here.  Everything is scored here when
+    ``shares`` is below 2, where ``os.fork`` does not exist, or when the
+    process runs other threads (a forked child would hold their locks as
+    they were).
+    """
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [score_order(order) for order in orders]
+    sent: dict[int, list] = {}  # share -> its values
+    pids: dict[int, int] = {}  # share -> its child, until reaped
+    pipes: dict[int, int] = {}  # share -> the read end of its child's pipe, until read
+    try:
+        for share in range(1, shares):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no child: its share and the later ones are scored here
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                os.close(read_end)
+                _send_share(score_order, orders[share::shares], write_end)
+            os.close(write_end)
+            pids[share], pipes[share] = pid, read_end
+        sent[0] = [score_order(order) for order in orders[0::shares]]
+        for share in list(pipes):
+            with open(pipes.pop(share), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pids[share], 0)
+            del pids[share]
+            if os.waitstatus_to_exitcode(status) == 0:
+                sent[share] = pickle.loads(data)  # this program's own bytes, whole
+    finally:
+        for read_end in pipes.values():  # left only when this raised
+            os.close(read_end)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    values: list = [None] * len(orders)
+    for share in range(shares):
+        mine = orders[share::shares]
+        got = sent.get(share)
+        values[share::shares] = (
+            got if got is not None and len(got) == len(mine)
+            else [score_order(order) for order in mine]
+        )
+    return values
+
+
+def _send_share(score_order: Callable, orders: list, write_end: int) -> None:
+    """The forked child's work: score ``orders``, write the values to the
+    pipe and leave, exit status 0 only when every value was written."""
+    status = 1
+    try:
+        data = pickle.dumps([score_order(order) for order in orders], pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def evaluate_matrix(tree: Node, X: np.ndarray) -> np.ndarray:
@@ -464,10 +606,10 @@ def evaluate_matrix(tree: Node, X: np.ndarray) -> np.ndarray:
 
 # --- random generation --------------------------------------------------
 
-def _random_leaf(rng: np.random.Generator, n_variables: int) -> Node:
-    if n_variables > 0 and rng.random() < 0.5:
-        return variable(int(rng.integers(n_variables)))
-    return constant(float(rng.uniform(CONSTANT_LOW, CONSTANT_HIGH)))
+# The symbols a slot may take when the tree has room for both arities; with
+# room for one more node only, the unary ones, which come first.
+_ANY_ARITY = UNARY_SYMBOLS + BINARY_SYMBOLS
+_N_UNARY = len(UNARY_SYMBOLS)
 
 
 def random_tree(
@@ -489,37 +631,31 @@ def random_tree(
         raise ValueError("max_length must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    target = int(rng.integers(1, max_length + 1))
-    if target == 1 or max_depth == 1:
-        return _random_leaf(rng, n_variables)
+    integers, random, uniform = rng.integers, rng.random, rng.uniform
+    target = int(integers(1, max_length + 1))
 
     # Slots are numbered in breadth-first order, which is also the order
-    # they are expanded in; an expansion's children are the next free slots.
+    # they are filled in; an expansion's children are the next free slots.
     nodes: list[Node | None] = [None]
     depths = [1]
     expansions: list[tuple[int, str, int, int]] = []  # (slot, symbol, children's slots)
     committed = 1
     slot = 0
-    while slot < len(nodes) and committed < target:
-        d = depths[slot]
-        choices: list[str] = []
-        if d < max_depth:
-            if committed + 1 <= target:
-                choices.extend(UNARY_SYMBOLS)
-            if committed + 2 <= target:
-                choices.extend(BINARY_SYMBOLS)
-        if choices:
-            symbol = choices[int(rng.integers(len(choices)))]
-            arity = 1 if symbol in UNARY_SYMBOLS else 2
-            expansions.append((slot, symbol, len(nodes), len(nodes) + arity))
+    while slot < len(nodes):
+        depth = depths[slot]
+        if committed < target and depth < max_depth:  # so a unary node fits
+            choices = _ANY_ARITY if committed + 2 <= target else UNARY_SYMBOLS
+            k = int(integers(len(choices)))
+            arity = 1 if k < _N_UNARY else 2
+            expansions.append((slot, choices[k], len(nodes), len(nodes) + arity))
             committed += arity
-            nodes.extend([None] * arity)
-            depths.extend([d + 1] * arity)
+            nodes += (None,) * arity
+            depths += (depth + 1,) * arity
+        elif n_variables > 0 and random() < 0.5:
+            nodes[slot] = Node("var", int(integers(n_variables)), ())
         else:
-            nodes[slot] = _random_leaf(rng, n_variables)
+            nodes[slot] = Node("const", float(uniform(CONSTANT_LOW, CONSTANT_HIGH)), ())
         slot += 1
-    for leaf_slot in range(slot, len(nodes)):
-        nodes[leaf_slot] = _random_leaf(rng, n_variables)
     # children sit in later slots, so building in reverse meets them first
     for parent, symbol, start, stop in reversed(expansions):
         nodes[parent] = Node(symbol, None, tuple(nodes[start:stop]))

@@ -27,6 +27,18 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 500
 
 
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_negative_seed_is_a_one_line_error_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = ["--problem", "poly10", "--seed", "-1"]
+    argv += ["--out", str(out)] if command == "generate" else ["--out-dir", str(out)]
+    assert main([command] + argv) == 1
+    err = capsys.readouterr().err
+    name = "--seed" if command == "generate" else "base_seed"
+    assert err == f"error: {name} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     code = main(
@@ -235,7 +247,10 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["population_size = 1", "mutation_rate = 1.5", "max_evaluations = 10", "rule.add = power:2"],
+    [
+        "population_size = 1", "mutation_rate = 1.5", "max_evaluations = 10",
+        "rule.add = power:2", "base_seed = -1",
+    ],
 )
 def test_bad_settings_exit_before_any_run(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 from dataclasses import fields
@@ -84,6 +85,12 @@ class TestConfigParsing:
         assert config.rules == "figure"
         assert config.repetitions == 3
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("problem = poly10\nbase_seed = 4\n".encode("utf-8-sig"))
+        config = load_config(str(path))
+        assert config.problem == "poly10" and config.base_seed == 4
+
     def test_rule_overrides(self):
         text = (
             "problem = keijzer5\nobjective2 = complexity\n"
@@ -128,6 +135,7 @@ class TestConfigParsing:
             ("max_evaluations = 499", "max_evaluations must be >= population_size"),
             ("max_depth = 0", "max_depth must be >= 1"),
             ("train_fraction = 1.5", r"train_fraction must be in \[0, 1\]"),
+            ("base_seed = -3", "base_seed must be >= 0, got -3"),
             ("rule.add = power:2", "rule.* override: rule 'power' takes one child"),
             ("rule.foo = sum", "unknown function symbol 'foo'"),
             ("rule.constant = 0.5", "leaf complexity values must be >= 1"),
@@ -463,6 +471,127 @@ class TestPoolAndCsv:
         assert not dataset.columns.flags.writeable and not dataset.target.flags.writeable
         assert [execute_run(config, seed) for seed in (0, 1, 2)] == sequential
         assert len(reads) == 4
+
+
+SPLIT_POPULATION = 100
+
+
+def _split_csv(tmp_path):
+    """keijzer5's formula on enough rows that a batch of SPLIT_POPULATION
+    distinct trees, scored on the training three quarters, is split."""
+    from mosr import trees
+
+    rows = int(1.3 * 2 * trees._SPLIT_MIN_WORK / SPLIT_POPULATION / 0.75)
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    X[:, 1] += 2.0
+    y = 30.0 * X[:, 0] * X[:, 2] / ((X[:, 0] - 10.0) * X[:, 1] ** 2)
+    path = tmp_path / "k5.csv"
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", header="a,b,c,y", comments="")
+    return str(path)
+
+
+def _split_config(data, **settings):
+    return ExperimentConfig(
+        **{"data_path": data, "target": "y", "objective2": "complexity",
+           "population_size": SPLIT_POPULATION, "max_evaluations": 300, **settings}
+    )
+
+
+def _cores(monkeypatch, n):
+    """Pretend this process may run on ``n`` cores (never more than 4)."""
+    assert n <= 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitRuns:
+    def test_every_objective_is_the_same_with_the_split_on_and_off(self, tmp_path, monkeypatch):
+        from mosr import harness
+
+        config = _split_config(_split_csv(tmp_path))
+        run = harness.run
+        objectives: list = []
+
+        def recording_run(config, objective_fn, n_variables, on_generation=None):
+            # wrapped as the benchmark's tracer wraps it: prepare is copied
+            @functools.wraps(objective_fn)
+            def recorded(tree):
+                values = objective_fn(tree)
+                objectives[-1].append(tuple(v.hex() for v in values))
+                return values
+
+            return run(config, recorded, n_variables, on_generation)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        forks = _counting_forks(monkeypatch)
+        results = []
+        for cores in (1, 4):
+            _cores(monkeypatch, cores)
+            objectives.append([])
+            results.append(execute_run(config, 3))
+            assert len(objectives[-1]) == results[-1].eval_count == 300  # one call each
+            assert (len(forks) > 0) == (cores > 1)
+        assert objectives[0] == objectives[1]
+        assert results[0] == results[1]
+        _no_child_left()
+
+    def test_artifacts_are_the_same_with_the_split_on_and_off(self, tmp_path, monkeypatch):
+        data = _split_csv(tmp_path)
+        forks = _counting_forks(monkeypatch)
+        outputs = []
+        for cores, jobs in [(1, 1), (3, 1), (4, 2)]:
+            _cores(monkeypatch, cores)
+            config = _split_config(data, objective2="variables", repetitions=2, jobs=jobs)
+            out = tmp_path / f"{cores}-{jobs}"
+            execute_experiment(config, str(out))
+            outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert forks  # counted in this process only: the pool's workers fork their own
+        _no_child_left()
+
+    def test_no_child_is_left_by_a_run_that_raises(self, tmp_path, monkeypatch):
+        from mosr import harness
+
+        config = _split_config(_split_csv(tmp_path))
+        run = harness.run
+
+        def failing_run(config, objective_fn, n_variables, on_generation=None):
+            calls = []
+
+            @functools.wraps(objective_fn)
+            def failing(tree):
+                calls.append(tree)
+                if len(calls) == SPLIT_POPULATION + 30:  # in the first generation
+                    raise ValueError("objective failed")
+                return objective_fn(tree)
+
+            return run(config, failing, n_variables, on_generation)
+
+        monkeypatch.setattr(harness, "run", failing_run)
+        forks = _counting_forks(monkeypatch)
+        _cores(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="objective failed"):
+            execute_run(config, 0)
+        assert forks  # the initial population was split
+        _no_child_left()
 
 
 class TestFrontExport:

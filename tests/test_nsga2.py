@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mosr.nsga2 import (
+    Draws,
     EngineConfig,
     Individual,
     crowded_compare,
@@ -15,7 +16,7 @@ from mosr.nsga2 import (
     run,
     tournament_select,
 )
-from mosr.trees import constant
+from mosr.trees import constant, random_tree
 
 
 def ind(*objectives) -> Individual:
@@ -230,6 +231,70 @@ class TestCrowdedCompare:
         assert [id(x) for x in picks_a] == [id(x) for x in picks_b]
 
 
+# every path of Draws.integers: no draw (1), powers of two, odd and even
+# spans, spans whose rejection threshold is large, and the largest span the
+# Lemire path takes
+SPANS = [1, 2, 3, 4, 5, 7, 8, 11, 64, 100, 1000, 65_537, 2**31 - 1, 2**31, 2**31 + 1,
+         3 * 2**30, 2**32 - 2, 2**32 - 1]
+
+
+def _twins(seed):
+    """A Generator and Draws over a second Generator with the same seed."""
+    return np.random.default_rng(seed), Draws(np.random.default_rng(seed))
+
+
+def _same_state(generator, draws):
+    return generator.bit_generator.state == draws._generator.bit_generator.state
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integers_match_the_generator(self, seed):
+        generator, draws = _twins(seed)
+        for span in SPANS:
+            for _ in range(25):
+                expected = generator.integers(span)
+                got = draws.integers(span)
+                assert type(got) is int and got == expected, (seed, span)
+        assert _same_state(generator, draws)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_low_high_form_and_the_other_draws_interleave(self, seed):
+        generator, draws = _twins(seed)
+        for step in range(400):
+            span = SPANS[step % len(SPANS)]
+            low = (-3, 0, 1, 7)[step % 4]
+            assert draws.integers(low, low + span) == generator.integers(low, low + span)
+            assert draws.random() == generator.random()
+            if step % 3 == 0:
+                assert draws.normal(0.0, 1.0) == generator.normal(0.0, 1.0)
+            assert draws.uniform(-20.0, 20.0) == generator.uniform(-20.0, 20.0)
+            assert draws.integers(span) == generator.integers(span)
+        assert _same_state(generator, draws)
+
+    def test_other_spans_are_the_generators_own(self):
+        generator, draws = _twins(3)
+        for low, high in [(0, 2**32), (5, 5 + 2**40), (-(2**62), 2**62)]:
+            for _ in range(20):
+                assert draws.integers(low, high) == generator.integers(low, high)
+        assert _same_state(generator, draws)
+        for bad in [(0,), (5, 5), (3, 2)]:
+            with pytest.raises(ValueError):
+                generator.integers(*bad)
+            with pytest.raises(ValueError):
+                draws.integers(*bad)
+        assert _same_state(generator, draws)
+
+    def test_random_trees_match_those_grown_from_the_generator(self):
+        for seed in range(30):
+            generator, draws = _twins(seed)
+            for n_variables, max_length, max_depth in [(0, 10, 4), (3, 100, 17), (1, 1, 17)]:
+                expected = random_tree(generator, n_variables, max_length, max_depth)
+                got = random_tree(draws, n_variables, max_length, max_depth)
+                assert got == expected
+            assert _same_state(generator, draws)
+
+
 def _count_objective(counter):
     def objective(tree):
         counter["n"] += 1
@@ -272,6 +337,22 @@ class TestRun:
         config = EngineConfig(population_size=8, max_evaluations=40, seed=4)
         _, evals = run(config, objective, n_variables=2)
         assert len(seen) == evals
+
+    def test_each_batch_is_prepared_before_its_trees_are_evaluated(self):
+        batches, calls = [], []
+
+        def objective(tree):
+            calls.append(tree)
+            return (float(tree.size), float(tree.height))
+
+        objective.prepare = lambda trees: batches.append((len(calls), list(trees)))
+        config = EngineConfig(population_size=9, max_evaluations=40, seed=8)
+        _, evals = run(config, objective, n_variables=2)
+        assert evals == 45 and len(calls) == 45  # one call per evaluation
+        assert [start for start, _ in batches] == [0, 9, 18, 27, 36]
+        for start, trees in batches:
+            assert all(a is b for a, b in zip(trees, calls[start:start + 9]))
+            assert len(trees) == 9
 
     def test_deterministic_per_seed(self):
         def objective(tree):

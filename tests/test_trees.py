@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -114,7 +116,19 @@ def _uncached(tree, X):
 
 
 def _closure(fn):
-    return {name: cell.cell_contents for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+    """The free variables of ``fn`` by name, and those of the evaluator's
+    own nested functions it closes over."""
+    found: dict = {}
+    todo = [fn]
+    while todo:
+        inner = todo.pop(0)
+        for name, cell in zip(inner.__code__.co_freevars, inner.__closure__ or ()):
+            if name in found:
+                continue
+            found[name] = value = cell.cell_contents
+            if getattr(value, "__qualname__", "").startswith("make_matrix_evaluator.<locals>"):
+                todo.append(value)
+    return found
 
 
 def _stored_arrays(evaluator):
@@ -540,6 +554,147 @@ class TestScoreMemo:
                      "(sqrt x1)", "(* x0 (log x2))"]:
             assert evaluate(parse_sexpr(text)) == 1, text
         assert len(scored) == 1
+
+
+def _split_case(seed, n_trees=240):
+    """Rows enough that 200 trees split four ways, an R^2 score and a batch
+    with repeats, one tree object twice and a tree with a variable X lacks."""
+    X = _probe_data(4 * trees._SPLIT_MIN_WORK // 200)
+    r2 = make_pearson_r2(np.random.default_rng(seed).normal(size=X.shape[0]))
+    rng = np.random.default_rng(seed)
+    pool = [random_tree(rng, n_variables=4, max_length=30) for _ in range(n_trees)]
+    batch = pool + [parse_sexpr("(+ x0 x9)")] + pool[:40] + [pool[3]]
+    return X, r2, batch
+
+
+def _pair_hex(value):
+    return value[0].hex(), value[1].hex()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+class TestSplit:
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_prepared_values_and_memo_match_the_calls_one_by_one(self, shares, monkeypatch):
+        monkeypatch.setattr(trees, "_MEMO_SIZE", 300)  # batches overflow it
+        measure = make_measure("complexity").fold
+        forks = _counting_forks(monkeypatch)
+        X, r2, _ = _split_case(0)
+        one_by_one = trees.make_matrix_evaluator(X, score=r2, measure=measure)
+        split = trees.make_matrix_evaluator(X, score=r2, measure=measure, shares=shares)
+        for seed in range(3):
+            batch = _split_case(seed)[2]
+            split.prepare(batch)
+            for tree in batch:
+                if tree.max_var >= X.shape[1]:
+                    for evaluate in (one_by_one, split):
+                        with pytest.raises(StructuralError):
+                            evaluate(tree)
+                    continue
+                assert _pair_hex(split(tree)) == _pair_hex(one_by_one(tree)), to_sexpr(tree)
+            memo, want = _closure(split)["memo"], _closure(one_by_one)["memo"]
+            assert list(memo) == list(want)  # the same trees kept, in the same order
+            assert [_pair_hex(v) for v in memo.values()] == [_pair_hex(v) for v in want.values()]
+        assert len(forks) == 3 * (shares - 1)
+        _no_child_left()
+
+    def test_a_kept_tree_skips_the_measure(self):
+        X, r2, batch = _split_case(1)
+        batch = [tree for tree in batch if tree.max_var < X.shape[1]]
+        folded = []
+
+        def measure(order):
+            folded.append(order[-1])
+            return float(len(order))
+
+        evaluate = trees.make_matrix_evaluator(X, score=r2, measure=measure)
+        for tree in batch + batch:
+            assert evaluate(tree) == (r2(evaluate_matrix(tree, X)), float(tree.size))
+        assert len(folded) == len({trees._structure_key(trees.postorder(t)) for t in batch})
+
+    @pytest.mark.parametrize("case", ["few rows", "one share", "few to score", "threads"])
+    def test_gates_score_in_this_process(self, case, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(2)
+        if case == "few rows":  # the whole batch is too little work to split
+            X = X[: 2 * trees._SPLIT_MIN_WORK // len(batch) - 1]
+            r2 = make_pearson_r2(np.ones(X.shape[0]).cumsum())
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=1 if case == "one share" else 2)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        if case == "few to score":  # kept but for too few trees
+            for tree in batch[: -80]:
+                if tree.max_var < X.shape[1]:
+                    evaluate(tree)
+        done = threading.Event()
+        worker = threading.Thread(target=done.wait)
+        if case == "threads":
+            worker.start()
+        try:
+            evaluate.prepare(batch)
+        finally:
+            done.set()
+        if case == "threads":
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert forks == []
+        prepared = _closure(evaluate)["prepared"]
+        assert len(prepared) == (0 if case in ("few rows", "one share") else 240)
+        for tree in batch:
+            if tree.max_var < X.shape[1]:
+                assert evaluate(tree).hex() == reference(tree).hex()
+
+    def test_a_failed_child_share_is_scored_here(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(3)
+        parent = os.getpid()
+
+        def score(values):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            return r2(values)
+
+        evaluate = trees.make_matrix_evaluator(X, score=score, shares=3)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        evaluate.prepare(batch)
+        assert len(forks) == 2
+        _no_child_left()
+        for tree in batch:
+            if tree.max_var < X.shape[1]:
+                assert evaluate(tree).hex() == reference(tree).hex()
+
+    def test_children_are_reaped_when_this_process_raises(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(4)
+        parent = os.getpid()
+        calls = []
+
+        def score(values):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) > 3:  # the all-NaN score and two of this share
+                    raise KeyboardInterrupt
+            return r2(values)
+
+        evaluate = trees.make_matrix_evaluator(X, score=score, shares=4)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate.prepare(batch)
+        assert len(forks) == 3
+        _no_child_left()
 
 
 class TestShape:
