@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 import threading
 from collections import OrderedDict
 from typing import Callable, Sequence
@@ -421,9 +420,11 @@ def make_matrix_evaluator(
     score are dealt over this process and up to ``shares - 1`` children
     forked for the batch (see :func:`_score_split`), so that each process
     scores at least ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends
-    on the tree alone, so where it is computed changes no value.  When the
-    batch is too small to split even if no tree in it is kept, ``prepare``
-    does nothing and each call scores its tree.
+    on the tree alone, so where it is computed changes no value.  A tree
+    using a variable ``X`` lacks is left to its call, which raises.  When
+    ``shares`` is 1, or the batch is too small to split even if none of
+    its trees is kept, ``prepare`` does nothing and each call scores its
+    tree.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -570,19 +571,17 @@ def _score_split(score_order: Callable, orders: list, shares: int) -> list:
             if os.waitstatus_to_exitcode(status) == 0:
                 sent[share] = pickle.loads(data)  # this program's own bytes, whole
     finally:
-        for read_end in pipes.values():  # left only when this raised
+        # left only when this raised: a child whose pipe is closed stops
+        # at its write
+        for read_end in pipes.values():
             os.close(read_end)
         for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     values: list = [None] * len(orders)
     for share in range(shares):
-        mine = orders[share::shares]
-        got = sent.get(share)
-        values[share::shares] = (
-            got if got is not None and len(got) == len(mine)
-            else [score_order(order) for order in mine]
-        )
+        if share not in sent:
+            sent[share] = [score_order(order) for order in orders[share::shares]]
+        values[share::shares] = sent[share]
     return values
 
 
