@@ -123,7 +123,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.model) as handle:
+    with open(args.model, encoding="utf-8-sig") as handle:
         tree = parse_sexpr(handle.read())
     dataset = benchmarks.load_csv(args.data, args.target, train_fraction=1.0)
     pred = evaluate_matrix(tree, dataset.columns)

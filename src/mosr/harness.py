@@ -231,12 +231,15 @@ class AggregateStats:
     rules: str
 
 
-def select_best(front: Sequence[Individual]) -> Individual:
-    """Highest training accuracy; ties fall to the smaller complexity
-    objective, then to the smaller tree."""
+def select_best(front: Sequence[Individual], scores: Sequence[float]) -> int:
+    """Index of the best model of ``front``: the lowest of ``scores`` (each
+    member's 1 - R^2 on the rows models are chosen on); ties fall to the
+    smaller complexity objective, then to the smaller tree."""
     if not front:
         raise ValueError("empty front")
-    return min(front, key=lambda ind: (ind.objectives[0], ind.objectives[1], ind.tree.size))
+    return min(
+        range(len(front)), key=lambda i: (scores[i], front[i].objectives[1], front[i].tree.size)
+    )
 
 
 # The CSV dataset of the experiment being executed, with the settings it
@@ -350,18 +353,13 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows
         # are gathered again for the front rather than held through the run
-        r2_and_measure = make_matrix_evaluator(
+        r2 = make_pearson_r2(y_fit)
+        objective = make_matrix_evaluator(
             dataset.columns[fit_rows],
-            score=make_pearson_r2(y_fit),
+            score=lambda values: 1.0 - r2(values),
             measure=measure.fold,
             shares=_scoring_shares(config),
         )
-
-        def objective(tree) -> tuple[float, float]:
-            r2, complexity = r2_and_measure(tree)
-            return 1.0 - r2, complexity
-
-        objective.prepare = r2_and_measure.prepare
         population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
         front = pareto_front(population)
         models = _front_models(
@@ -373,17 +371,12 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             scores = [
                 1.0 - pearson_r2(evaluate_matrix(ind.tree, X_val), y_val) for ind in front
             ]
-            best_idx = min(
-                range(len(front)),
-                key=lambda i: (scores[i], front[i].objectives[1], front[i].tree.size),
-            )
         else:
-            best = select_best(front)
-            best_idx = next(i for i, ind in enumerate(front) if ind is best)
+            scores = [ind.objectives[0] for ind in front]
         return RunResult(
             seed=seed,
             front=tuple(models),
-            best=models[best_idx],
+            best=models[select_best(front, scores)],
             eval_count=eval_count,
         )
     except Exception as exc:

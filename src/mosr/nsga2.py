@@ -86,10 +86,9 @@ class Draws:
     returns (as a Python int or float) and leaves its state as that call
     would, so the two can be used in turn on one state.
 
-    * ``integers(n)`` and ``integers(low, high)``: numpy's Lemire rejection
-      over ``next_uint32`` for a span ``high - low`` from 2 to 2**32 - 1; a
-      span of 1 returns ``low`` without a draw; any other span is the
-      Generator's own call.
+    * ``integers(n)``: numpy's Lemire rejection over ``next_uint32`` for
+      ``n`` from 2 to 2**32 - 1; ``n`` of 1 returns 0 without a draw; any
+      other ``n`` is the Generator's own call.
     * ``random()``: ``next_double``.
     * ``uniform(low, high)``: ``low + (high - low) * next_double``.
     * ``normal``: the Generator's own method.
@@ -105,23 +104,20 @@ class Draws:
         self._next_double = entry_points.next_double
         self.normal = generator.normal
 
-    def integers(self, low: int, high: int | None = None) -> int:
-        if high is None:
-            low, high = 0, low
-        span = high - low
-        if 1 < span < 0x1_0000_0000:
+    def integers(self, n: int) -> int:
+        if 1 < n < 0x1_0000_0000:
             next_uint32, state = self._next_uint32, self._state
-            product = next_uint32(state) * span
+            product = next_uint32(state) * n
             leftover = product & 0xFFFF_FFFF
-            if leftover < span:
-                threshold = (0x1_0000_0000 - span) % span
+            if leftover < n:
+                threshold = (0x1_0000_0000 - n) % n
                 while leftover < threshold:
-                    product = next_uint32(state) * span
+                    product = next_uint32(state) * n
                     leftover = product & 0xFFFF_FFFF
-            return low + (product >> 32)
-        if span == 1:
-            return low
-        return int(self._generator.integers(low, high))
+            return product >> 32
+        if n == 1:
+            return 0
+        return int(self._generator.integers(n))
 
     def random(self) -> float:
         return self._next_double(self._state)
@@ -319,14 +315,16 @@ def run(
 ) -> tuple[list[Individual], int]:
     """Evolve under the evaluation budget; returns (population, evaluations).
 
-    ``objective_fn`` maps a tree to its minimized objective vector (here
-    typically ``(1 - R^2 on training rows, complexity measure)``).  Each
-    initial individual and each offspring counts as one evaluation, and is
-    one call of ``objective_fn``.  If ``objective_fn`` has a ``prepare``
-    attribute, ``prepare(trees)`` is called with each batch (the initial
-    population, then each generation's offspring) before its trees are
-    evaluated one by one.  ``on_generation(generation, population,
-    evaluations)`` is called after every environmental selection.
+    ``objective_fn`` maps a tree to its minimized objective vector; the
+    harness passes the scoring evaluator of
+    :func:`~mosr.trees.make_matrix_evaluator`, whose values are ``(1 - R^2
+    on training rows, complexity measure)``.  Each initial individual and
+    each offspring counts as one evaluation, and is one call of
+    ``objective_fn``.  If ``objective_fn`` has a ``prepare`` attribute,
+    ``prepare(trees)`` is called with each batch (the initial population,
+    then each generation's offspring) before its trees are evaluated one
+    by one.  ``on_generation(generation, population, evaluations)`` is
+    called after every environmental selection.
     """
     rng = Draws(np.random.default_rng(config.seed))
     prepare = getattr(objective_fn, "prepare", None)

@@ -16,12 +16,13 @@ measure and the writer fold a value stack without recursion.  Length and
 depth are the cached ``Node.size`` and ``Node.height``.
 
 There is one evaluator: :func:`make_matrix_evaluator` prepares the columns
-of a matrix once and returns a callable that scores trees on them;
+of a matrix once and returns a callable that evaluates trees on them;
 :func:`evaluate_matrix` is that callable applied to a single tree.  Given
-a score function (the search objective's R^2), the callable returns the
-score of the values instead, and keeps the scores of the distinct trees it
-saw last, keyed by structure; its ``prepare`` scores a batch of trees
-ahead of their calls, split over forked processes.
+a score function (the search objective's 1 - R^2), the callable returns the
+score of the values instead.  Its ``prepare`` is then the one scorer: it
+scores a batch of trees, split over forked processes, and keeps the scores
+of the distinct trees it saw last, keyed by structure; a call for a tree
+outside the last batch is a batch of one.
 
 Function symbols:
 
@@ -411,20 +412,18 @@ def make_matrix_evaluator(
     elementwise, so a probe row is bit-equal to that row of the full
     evaluation.
 
-    The scoring callable has a ``prepare(trees)`` method that scores a
-    batch of trees ahead of their calls.  It lists each tree once, scores
-    the distinct trees that are not kept, and leaves every kept value, and
-    the order in which they were last used, as the calls one by one in
-    batch order would; each later call for one of these tree objects
-    returns its value at once, until the next ``prepare``.  The trees to
-    score are dealt over this process and up to ``shares - 1`` children
-    forked for the batch (see :func:`_score_split`), so that each process
-    scores at least ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends
-    on the tree alone, so where it is computed changes no value.  A tree
-    using a variable ``X`` lacks is left to its call, which raises.  When
-    ``shares`` is 1, or the batch is too small to split even if none of
-    its trees is kept, ``prepare`` does nothing and each call scores its
-    tree.
+    The scoring callable has a ``prepare(trees)`` method, the only code
+    that scores a tree.  It lists each tree once, scores the distinct trees
+    that are not kept, and leaves every kept value, and the order in which
+    they were last used, as the calls one by one in batch order would; each
+    later call for one of these tree objects returns its value at once,
+    until the next ``prepare``.  A call for any other tree checks its
+    variables and is ``prepare`` of that tree alone.  The trees to score
+    are dealt over this process and up to ``shares - 1`` children forked
+    for the batch (see :func:`_score_split`), so that each process scores
+    at least ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends on the
+    tree alone, so where it is computed changes no value.  A tree using a
+    variable ``X`` lacks is left to its call, which raises.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -479,29 +478,16 @@ def make_matrix_evaluator(
             value = score(np.full(n_rows, float(out)) if np.ndim(out) == 0 else out)
         return value if measure is None else (value, measure(order))
 
-    def keep(key: tuple, value) -> None:
-        memo[key] = value
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
-
     def score_tree(tree: Node):
         entry = prepared.get(id(tree))
-        if entry is not None and entry[0] is tree:
-            return entry[1]
-        check_columns(tree)  # before the lookup: a bad tree raises every time
-        order = postorder(tree)
-        key = _structure_key(order)
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        value = score_order(order)
-        keep(key, value)
-        return value
+        if entry is None or entry[0] is not tree:
+            check_columns(tree)  # a bad tree raises on every call
+            prepare([tree])
+            entry = prepared[id(tree)]
+        return entry[1]
 
     def prepare(trees: Sequence[Node]) -> None:
         prepared.clear()
-        if len(trees) * n_rows < 2 * _SPLIT_MIN_WORK or shares < 2:
-            return
         keys: list[tuple | None] = []  # None: a tree the call rejects
         values: dict[tuple, object] = {}  # key -> value, for the kept trees
         misses: dict[tuple, list[Node]] = {}  # key -> listing, for the rest
@@ -524,7 +510,9 @@ def make_matrix_evaluator(
                 if key in memo:
                     memo.move_to_end(key)
                 else:
-                    keep(key, values[key])
+                    memo[key] = values[key]
+                    if len(memo) > _MEMO_SIZE:
+                        memo.popitem(last=False)
                 prepared[id(tree)] = (tree, values[key])
 
     score_tree.prepare = prepare
@@ -537,11 +525,11 @@ def _score_split(score_order: Callable, orders: list, shares: int) -> list:
 
     Each child inherits the evaluator and the listings, sends its values
     through a pipe and leaves by ``os._exit``; every child is reaped before
-    this returns or raises.  A share whose child could not be forked or
-    sent nothing is scored here.  Everything is scored here when
-    ``shares`` is below 2, where ``os.fork`` does not exist, or when the
-    process runs other threads (a forked child would hold their locks as
-    they were).
+    this returns or raises.  A share whose child was not forked (a pipe
+    or a fork failed for it or an earlier share) or sent nothing is scored
+    here.  Everything is scored here when ``shares`` is below 2, where
+    ``os.fork`` does not exist, or when the process runs other threads (a
+    forked child would hold their locks as they were).
     """
     if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [score_order(order) for order in orders]
@@ -550,10 +538,13 @@ def _score_split(score_order: Callable, orders: list, shares: int) -> list:
     pipes: dict[int, int] = {}  # share -> the read end of its child's pipe, until read
     try:
         for share in range(1, shares):
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:  # no pipe: its share and the later ones are scored here
+                break
             try:
                 pid = os.fork()
-            except OSError:  # no child: its share and the later ones are scored here
+            except OSError:  # no child: likewise
                 os.close(read_end)
                 os.close(write_end)
                 break
@@ -631,7 +622,7 @@ def random_tree(
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     integers, random, uniform = rng.integers, rng.random, rng.uniform
-    target = int(integers(1, max_length + 1))
+    target = 1 + int(integers(max_length))
 
     # Slots are numbered in breadth-first order, which is also the order
     # they are filled in; an expansion's children are the next free slots.

@@ -123,6 +123,15 @@ def test_eval_scores_saved_model(tmp_path, capsys):
     assert "nmse=0.0" in out
 
 
+def test_eval_reads_a_model_with_a_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y\n1,2\n2,4\n3,6\n")
+    model = tmp_path / "bom.sexpr"
+    model.write_bytes("(* 2 x0)\n".encode("utf-8-sig"))
+    assert main(["eval", "--model", str(model), "--data", str(data), "--target", "y"]) == 0
+    assert capsys.readouterr().out == "r2=1.0 nmse=0.0 scaled_nmse=0.0\n"
+
+
 def test_eval_scores_a_deep_model(tmp_path, capsys):
     # deeper than Python's recursion limit: evaluation must not recurse
     data = tmp_path / "d.csv"

@@ -46,22 +46,31 @@ SMALL = dict(
 )
 
 
+def _training(front):
+    return [ind.objectives[0] for ind in front]
+
+
 class TestSelectBest:
     def test_argmin_accuracy(self):
         front = [_ind(0.1, 3), _ind(0.05, 9), _ind(0.2, 1)]
-        assert select_best(front) is front[1]
+        assert select_best(front, _training(front)) == 1
 
     def test_singleton(self):
         front = [_ind(0.5, 1)]
-        assert select_best(front) is front[0]
+        assert select_best(front, _training(front)) == 0
 
     def test_tie_breaks_on_complexity(self):
         front = [_ind(0.1, 9), _ind(0.1, 3)]
-        assert select_best(front) is front[1]
+        assert select_best(front, _training(front)) == 1
+
+    def test_validation_scores_change_the_pick(self):
+        front = [_ind(0.1, 3), _ind(0.05, 9), _ind(0.2, 1)]
+        assert select_best(front, [0.3, 0.4, 0.2]) == 2
+        assert select_best(front, [0.3, 0.2, 0.2]) == 2  # a tie falls to complexity
 
     def test_empty_front_rejected(self):
         with pytest.raises(ValueError):
-            select_best([])
+            select_best([], [])
 
 
 class TestConfigParsing:

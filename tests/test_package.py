@@ -5,11 +5,13 @@ use, and ``perfbench/worker.py`` calls them, so a cleanup that removes or
 renames one breaks ``perfbench --trace 1`` or its ``check`` job.
 """
 
+import functools
 import importlib
 import inspect
 
 import pytest
 
+from mosr import harness
 from mosr.harness import ExperimentConfig
 
 USED_BY_BENCHMARK = {
@@ -43,3 +45,43 @@ def test_config_parts_the_benchmark_uses_resolve():
     assert callable(config.rule_table)
     for name in ("data_path", "target", "train_fraction", "objective2"):
         assert hasattr(config, name), name
+
+
+def test_the_traced_evaluator_keeps_prepare(monkeypatch):
+    # the engine receives the evaluator as the tracer wraps it, so the
+    # wrapper must carry prepare, or every tree would be a batch of one
+    make = harness.make_matrix_evaluator
+    events = []
+
+    def traced_make(X, *args, **kwargs):
+        evaluator = make(X, *args, **kwargs)
+        prepare = evaluator.prepare
+
+        def counted_prepare(trees):
+            events.append(("prepare", list(trees)))
+            prepare(trees)
+
+        evaluator.prepare = counted_prepare
+
+        @functools.wraps(evaluator)
+        def traced(tree):
+            events.append(("call", tree))
+            return evaluator(tree)
+
+        return traced
+
+    monkeypatch.setattr(harness, "make_matrix_evaluator", traced_make)
+    config = ExperimentConfig(
+        problem="keijzer5", objective2="complexity", population_size=20, max_evaluations=100
+    )
+    result = harness.execute_run(config, 3)
+    batches = [trees for kind, trees in events if kind == "prepare"]
+    calls = [tree for kind, tree in events if kind == "call"]
+    assert len(batches) == result.eval_count // 20 == 5
+    assert len(calls) == result.eval_count  # one call per evaluation
+    at = 0
+    for batch in batches:  # each batch is prepared, then its trees are called in order
+        assert events[at][0] == "prepare"
+        assert all(tree is want for (_, tree), want in zip(events[at + 1:], batch))
+        at += 1 + len(batch)
+    assert at == len(events)

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import threading
@@ -652,8 +653,7 @@ class TestSplit:
             worker.join(timeout=10)
             assert not worker.is_alive()
         assert forks == []
-        prepared = _closure(evaluate)["prepared"]
-        assert len(prepared) == (0 if case in ("few rows", "one share") else 240)
+        assert len(_closure(evaluate)["prepared"]) == 240  # listed here all the same
         for tree in batch:
             if tree.max_var < X.shape[1]:
                 assert evaluate(tree).hex() == reference(tree).hex()
@@ -676,6 +676,51 @@ class TestSplit:
         for tree in batch:
             if tree.max_var < X.shape[1]:
                 assert evaluate(tree).hex() == reference(tree).hex()
+
+    def test_a_failed_pipe_share_is_scored_here(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(5)
+        pipes = []
+        pipe = os.pipe
+
+        def second_fails():
+            pipes.append(1)
+            if len(pipes) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", second_fails)
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=3)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        evaluate.prepare(batch)
+        assert len(forks) == 1 and len(pipes) == 2
+        _no_child_left()
+        for tree in batch:
+            if tree.max_var < X.shape[1]:
+                assert evaluate(tree).hex() == reference(tree).hex()
+
+    def test_lone_calls_between_a_batchs_calls(self, monkeypatch):
+        monkeypatch.setattr(trees, "_MEMO_SIZE", 100)  # the batch overflows it
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(6)
+        lone = _split_case(7, n_trees=60)[2][:60]
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
+        memo = _closure(evaluate)["memo"]
+        evaluate.prepare(batch)
+        assert len(forks) == 1
+        for step, tree in enumerate(batch):
+            if step % 5 == 0:
+                other = lone[step // 5 % len(lone)]
+                assert evaluate(other).hex() == r2(evaluate_matrix(other, X)).hex()
+                assert len(memo) <= trees._MEMO_SIZE
+            if tree.max_var >= X.shape[1]:
+                with pytest.raises(StructuralError):
+                    evaluate(tree)
+                continue
+            assert evaluate(tree).hex() == r2(evaluate_matrix(tree, X)).hex(), to_sexpr(tree)
+            assert len(memo) <= trees._MEMO_SIZE
+        assert len(forks) == 1  # a lone tree is too little work to split
+        _no_child_left()
 
     def test_children_are_reaped_when_this_process_raises(self, monkeypatch):
         forks = _counting_forks(monkeypatch)
