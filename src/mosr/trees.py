@@ -421,7 +421,7 @@ def make_matrix_evaluator(
     variables and is ``prepare`` of that tree alone.  The trees to score
     are dealt over this process and up to ``shares - 1`` children forked
     for the batch (see :func:`_score_split`), so that each process scores
-    at least ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends on the
+    at least one tree and ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends on the
     tree alone, so where it is computed changes no value.  A tree using a
     variable ``X`` lacks is left to its call, which raises.
     """
@@ -502,7 +502,7 @@ def make_matrix_evaluator(
                 values[key] = memo[key]
             elif key not in misses:
                 misses[key] = order
-        split = min(shares, len(misses) * n_rows // _SPLIT_MIN_WORK)
+        split = min(shares, len(misses), len(misses) * n_rows // _SPLIT_MIN_WORK)
         values.update(zip(misses, _score_split(score_order, list(misses.values()), split)))
         # the kept values and their order of use, as the calls would leave them
         for tree, key in zip(trees, keys):

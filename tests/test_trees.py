@@ -658,6 +658,22 @@ class TestSplit:
             if tree.max_var < X.shape[1]:
                 assert evaluate(tree).hex() == reference(tree).hex()
 
+    def test_each_child_gets_a_tree_to_score(self, monkeypatch):
+        monkeypatch.setattr(trees, "_SPLIT_MIN_WORK", 1)  # any tree is work enough
+        forks = _counting_forks(monkeypatch)
+        X = _probe_data(50)
+        r2 = make_pearson_r2(np.ones(50).cumsum())
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=4)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        lone, *pair = (parse_sexpr(t) for t in ("(sin x0)", "(cos x1)", "(exp x2)"))
+        assert evaluate(lone).hex() == reference(lone).hex()
+        assert forks == []  # one tree: scored here alone
+        evaluate.prepare(pair)
+        assert len(forks) == 1  # two trees: one child
+        for tree in pair:
+            assert evaluate(tree).hex() == reference(tree).hex()
+        _no_child_left()
+
     def test_a_failed_child_share_is_scored_here(self, monkeypatch):
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(3)
@@ -703,7 +719,8 @@ class TestSplit:
         monkeypatch.setattr(trees, "_MEMO_SIZE", 100)  # the batch overflows it
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(6)
-        lone = _split_case(7, n_trees=60)[2][:60]
+        rng = np.random.default_rng(7)
+        lone = [random_tree(rng, n_variables=4, max_length=30) for _ in range(60)]
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
         memo = _closure(evaluate)["memo"]
         evaluate.prepare(batch)
