@@ -360,7 +360,12 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             measure=measure.fold,
             shares=_scoring_shares(config),
         )
-        population, eval_count = run(config.engine_config(seed), objective, dataset.n_variables)
+        try:
+            population, eval_count = run(
+                config.engine_config(seed), objective, dataset.n_variables
+            )
+        finally:
+            objective.close()  # end its scoring workers
         front = pareto_front(population)
         models = _front_models(
             front, dataset.columns[fit_rows], y_fit, dataset.X_test, dataset.y_test

@@ -16,8 +16,9 @@ in [max_evaluations, max_evaluations + population_size).
 Each generation's offspring, like the initial population, are all built
 before any is evaluated, in the order they are drawn, and evaluated in that
 order; an objective function with a ``prepare(trees)`` attribute is handed
-the whole batch first.  Evaluation draws nothing, so this order gives the
-same draws as evaluating each offspring as it is built.
+the whole batch first, as an iterator that builds each tree as it is
+taken.  Evaluation draws nothing, so this order gives the same draws as
+evaluating each offspring as it is built.
 
 Everything is deterministic for a fixed seed; the engine owns a single
 numpy Generator, draws from it through :class:`Draws`, and never touches
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -323,42 +324,55 @@ def run(
     ``objective_fn``.  If ``objective_fn`` has a ``prepare`` attribute,
     ``prepare(trees)`` is called with each batch (the initial population,
     then each generation's offspring) before its trees are evaluated one
-    by one.  ``on_generation(generation, population, evaluations)`` is
+    by one.  ``trees`` is an iterator that draws each tree as it is taken,
+    in the batch's order, so ``prepare`` can work on the first trees while
+    the later ones are drawn; trees it leaves untaken are drawn after it
+    returns.  ``on_generation(generation, population, evaluations)`` is
     called after every environmental selection.
     """
     rng = Draws(np.random.default_rng(config.seed))
     prepare = getattr(objective_fn, "prepare", None)
 
-    def evaluate(trees: list[Node]) -> list[Individual]:
+    def evaluate(draws: Iterator[Node]) -> list[Individual]:
+        trees: list[Node] = []
         if prepare is not None:
-            prepare(trees)
+            prepare(_kept(draws, trees))
+        trees += draws
         return [_evaluate(tree, objective_fn) for tree in trees]
 
-    population = evaluate([
+    def children(parents: list[Individual]) -> Iterator[Node]:
+        for _ in range(config.population_size):
+            p1 = tournament_select(parents, rng, config.tournament_size)
+            p2 = tournament_select(parents, rng, config.tournament_size)
+            child = crossover(p1.tree, p2.tree, rng, config.max_length, config.max_depth)
+            if rng.random() < config.mutation_rate:
+                child = mutate(child, rng, n_variables, config.max_length, config.max_depth)
+            yield child
+
+    population = evaluate(
         random_tree(rng, n_variables, config.max_length, config.max_depth)
         for _ in range(config.population_size)
-    ])
+    )
     evaluations = config.population_size
     for front in _selection_sort(population):
         crowding_distance(front)
 
     generation = 0
     while evaluations < config.max_evaluations:
-        children: list[Node] = []
-        for _ in range(config.population_size):
-            p1 = tournament_select(population, rng, config.tournament_size)
-            p2 = tournament_select(population, rng, config.tournament_size)
-            child = crossover(p1.tree, p2.tree, rng, config.max_length, config.max_depth)
-            if rng.random() < config.mutation_rate:
-                child = mutate(child, rng, n_variables, config.max_length, config.max_depth)
-            children.append(child)
-        offspring = evaluate(children)
+        offspring = evaluate(children(population))
         evaluations += len(offspring)
         population = _environmental_selection(population + offspring, config.population_size)
         generation += 1
         if on_generation is not None:
             on_generation(generation, population, evaluations)
     return population, evaluations
+
+
+def _kept(trees: Iterable[Node], into: list[Node]) -> Iterator[Node]:
+    """``trees``, each appended to ``into`` as it is taken."""
+    for tree in trees:
+        into.append(tree)
+        yield tree
 
 
 def pareto_front(population: Sequence[Individual]) -> list[Individual]:

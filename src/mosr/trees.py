@@ -20,9 +20,10 @@ of a matrix once and returns a callable that evaluates trees on them;
 :func:`evaluate_matrix` is that callable applied to a single tree.  Given
 a score function (the search objective's 1 - R^2), the callable returns the
 score of the values instead.  Its ``prepare`` is then the one scorer: it
-scores a batch of trees, split over forked processes, and keeps the scores
-of the distinct trees it saw last, keyed by structure; a call for a tree
-outside the last batch is a batch of one.
+scores a batch of trees, with the help of forked worker processes that
+score chunks of it while the batch is still being drawn, and keeps the
+scores of the distinct trees it saw last, keyed by structure; a call for a
+tree outside the last batch is a batch of one.
 
 Function symbols:
 
@@ -42,9 +43,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import threading
-from collections import OrderedDict
-from typing import Callable, Sequence
+import weakref
+from collections import OrderedDict, deque
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -273,11 +276,18 @@ _PROBE_MIN_ROWS = 2048
 # and 34.4 %.
 _MEMO_SIZE = 2048
 
-# The fewest tree-rows (trees to score times rows of X) each process of a
-# split batch is given.  Scoring distinct trees of a keijzer5 run on two
-# cores, the split broke even at about 1M tree-rows in all (64 trees of
-# 15,000 rows, 192 of 5000) and took 0.85x the time at 1.5M.
-_SPLIT_MIN_WORK = 750_000
+# Scoring workers (see :class:`_Workers`): the trees sent in one message and
+# the messages a worker may hold unanswered.  Sending a chunk of 8 distinct
+# trees of a keijzer5 or a noisy4 run costs this process 80-140 us, a third
+# to a twelfth of scoring it here, from 2 rows of X to 15,000, so no row
+# count is too few for a worker.
+_CHUNK_TREES = 8
+_CHUNKS_IN_FLIGHT = 2
+
+# This process's ends of the pipes of every live scoring worker, of every
+# evaluator.  A new worker closes them all, so that no worker holds another
+# worker's pipe open after that one is closed.
+_WORKER_FDS: set[int] = set()
 
 
 def _read_only_columns(X: np.ndarray) -> list[np.ndarray]:
@@ -413,17 +423,24 @@ def make_matrix_evaluator(
     evaluation.
 
     The scoring callable has a ``prepare(trees)`` method, the only code
-    that scores a tree.  It lists each tree once, scores the distinct trees
-    that are not kept, and leaves every kept value, and the order in which
-    they were last used, as the calls one by one in batch order would; each
-    later call for one of these tree objects returns its value at once,
-    until the next ``prepare``.  A call for any other tree checks its
-    variables and is ``prepare`` of that tree alone.  The trees to score
-    are dealt over this process and up to ``shares - 1`` children forked
-    for the batch (see :func:`_score_split`), so that each process scores
-    at least one tree and ``_SPLIT_MIN_WORK`` tree-rows.  A tree's value depends on the
-    tree alone, so where it is computed changes no value.  A tree using a
-    variable ``X`` lacks is left to its call, which raises.
+    that scores a tree.  It takes any iterable, an iterator that draws the
+    trees lazily included, lists each tree once as it comes, scores the
+    distinct trees that are not kept, and leaves every kept value, and the
+    order in which they were last used, as the calls one by one in batch
+    order would; each later call for one of these tree objects returns its
+    value at once, until the next ``prepare``.  A call for any other tree
+    checks its variables and is ``prepare`` of that tree alone.  A tree
+    using a variable ``X`` lacks is left to its call, which raises.
+
+    With ``shares`` above 1, up to ``shares - 1`` worker processes help
+    score (see :class:`_Workers`): each whole chunk of ``_CHUNK_TREES``
+    trees to score is sent to a worker with room while the iterator draws
+    the next trees, and this process scores the chunks no worker took once
+    the iterator is done.  A tree's value depends on the tree alone, so
+    where it is computed changes no value.  A batch is scored here alone,
+    after the iterator is turned into a list, when ``shares`` is 1,
+    ``os.fork`` does not exist, or the process runs other threads.  The callable's ``close()`` ends the
+    workers; it is idempotent, and runs when the callable is collected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -478,6 +495,8 @@ def make_matrix_evaluator(
             value = score(np.full(n_rows, float(out)) if np.ndim(out) == 0 else out)
         return value if measure is None else (value, measure(order))
 
+    workers = _Workers(score_order, shares - 1 if hasattr(os, "fork") else 0)
+
     def score_tree(tree: Node):
         entry = prepared.get(id(tree))
         if entry is None or entry[0] is not tree:
@@ -486,26 +505,40 @@ def make_matrix_evaluator(
             entry = prepared[id(tree)]
         return entry[1]
 
-    def prepare(trees: Sequence[Node]) -> None:
+    def prepare(trees: Iterable[Node]) -> None:
         prepared.clear()
+        dealer = workers if workers.usable() else None
+        if dealer is None:
+            trees = list(trees)  # in one process, listing each tree as it is drawn ran slower
+        batch: list[Node] = []
         keys: list[tuple | None] = []  # None: a tree the call rejects
         values: dict[tuple, object] = {}  # key -> value, for the kept trees
         misses: dict[tuple, list[Node]] = {}  # key -> listing, for the rest
-        for tree in trees:
-            if tree.max_var >= n_cols:
-                keys.append(None)
-                continue
-            order = postorder(tree)
-            key = _structure_key(order)
-            keys.append(key)
-            if key in memo:
-                values[key] = memo[key]
-            elif key not in misses:
-                misses[key] = order
-        split = min(shares, len(misses), len(misses) * n_rows // _SPLIT_MIN_WORK)
-        values.update(zip(misses, _score_split(score_order, list(misses.values()), split)))
+        try:
+            for tree in trees:
+                batch.append(tree)
+                if tree.max_var >= n_cols:
+                    keys.append(None)
+                    continue
+                order = postorder(tree)
+                key = _structure_key(order)
+                keys.append(key)
+                if key in memo:
+                    values[key] = memo[key]
+                elif key not in misses:
+                    misses[key] = order
+                    if dealer is not None:
+                        dealer.deal(key)
+            if dealer is None:
+                values.update(zip(misses, map(score_order, misses.values())))
+            else:
+                values.update(dealer.finish(misses))
+        except BaseException:
+            if dealer is not None:
+                dealer.abandon()
+            raise
         # the kept values and their order of use, as the calls would leave them
-        for tree, key in zip(trees, keys):
+        for tree, key in zip(batch, keys):
             if key is not None:
                 if key in memo:
                     memo.move_to_end(key)
@@ -516,77 +549,216 @@ def make_matrix_evaluator(
                 prepared[id(tree)] = (tree, values[key])
 
     score_tree.prepare = prepare
+    score_tree.close = workers.close
+    weakref.finalize(score_tree, workers.close)
     return score_tree
 
 
-def _score_split(score_order: Callable, orders: list, shares: int) -> list:
-    """``score_order`` of each listing in ``orders``, the listings dealt
-    round-robin over this process and ``shares - 1`` forked children.
-
-    Each child inherits the evaluator and the listings, sends its values
-    through a pipe and leaves by ``os._exit``; every child is reaped before
-    this returns or raises.  A share whose child was not forked (a pipe
-    or a fork failed for it or an earlier share) or sent nothing is scored
-    here.  Everything is scored here when ``shares`` is below 2, where
-    ``os.fork`` does not exist, or when the process runs other threads (a
-    forked child would hold their locks as they were).
-    """
-    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [score_order(order) for order in orders]
-    sent: dict[int, list] = {}  # share -> its values
-    pids: dict[int, int] = {}  # share -> its child, until reaped
-    pipes: dict[int, int] = {}  # share -> the read end of its child's pipe, until read
-    try:
-        for share in range(1, shares):
-            try:
-                read_end, write_end = os.pipe()
-            except OSError:  # no pipe: its share and the later ones are scored here
-                break
-            try:
-                pid = os.fork()
-            except OSError:  # no child: likewise
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
-                os.close(read_end)
-                _send_share(score_order, orders[share::shares], write_end)
-            os.close(write_end)
-            pids[share], pipes[share] = pid, read_end
-        sent[0] = [score_order(order) for order in orders[0::shares]]
-        for share in list(pipes):
-            with open(pipes.pop(share), "rb") as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pids[share], 0)
-            del pids[share]
-            if os.waitstatus_to_exitcode(status) == 0:
-                sent[share] = pickle.loads(data)  # this program's own bytes, whole
-    finally:
-        # left only when this raised: a child whose pipe is closed stops
-        # at its write
-        for read_end in pipes.values():
-            os.close(read_end)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
-    values: list = [None] * len(orders)
-    for share in range(shares):
-        if share not in sent:
-            sent[share] = [score_order(order) for order in orders[share::shares]]
-        values[share::shares] = sent[share]
-    return values
+_ARITY = dict.fromkeys(UNARY_SYMBOLS, 1) | dict.fromkeys(BINARY_SYMBOLS, 2)
 
 
-def _send_share(score_order: Callable, orders: list, write_end: int) -> None:
-    """The forked child's work: score ``orders``, write the values to the
-    pipe and leave, exit status 0 only when every value was written."""
+def _listing(key: tuple) -> list[Node]:
+    """The :func:`postorder` list of the tree whose :func:`_structure_key`
+    is ``key``, built anew."""
+    order: list[Node] = []
+    stack: list[Node] = []
+    for item in key:
+        if isinstance(item, int):
+            node = Node("var", item, ())
+        else:
+            symbol, arity = item if isinstance(item, tuple) else (item, _ARITY.get(item, 0))
+            if arity:
+                node = Node(symbol, None, tuple(stack[-arity:]))
+                del stack[-arity:]
+            else:  # not a symbol: a constant's float.hex
+                node = Node("const", float.fromhex(item), ())
+        stack.append(node)
+        order.append(node)
+    return order
+
+
+def _write_message(fd: int, obj) -> None:
+    """``obj`` pickled down ``fd``, after its length as 8 bytes."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, size: int) -> bytes | None:
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_message(fd: int):
+    """The next object :func:`_write_message` sent down ``fd``, or None at
+    its end.  Raw reads: a buffered reader could hold a message that a
+    wait on ``fd`` no longer sees."""
+    header = _read_exact(fd, 8)
+    data = None if header is None else _read_exact(fd, int.from_bytes(header, "little"))
+    return None if data is None else pickle.loads(data)  # this program's own bytes
+
+
+def _serve(score_order: Callable, commands: int, replies: int) -> None:
+    """A worker's life: read chunks of structure keys from ``commands``
+    and write their values to ``replies``, until ``commands`` ends.  Never
+    returns; the exit status is 0 only after an end of input."""
     status = 1
     try:
-        data = pickle.dumps([score_order(order) for order in orders], pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
+        while (keys := _read_message(commands)) is not None:
+            _write_message(replies, [score_order(_listing(key)) for key in keys])
         status = 0
     finally:
         os._exit(status)
+
+
+class _Worker:
+    __slots__ = ("pid", "commands", "replies", "in_flight")
+
+    def __init__(self, pid: int, commands: int, replies: int):
+        self.pid = pid
+        self.commands = commands  # the write end of its input
+        self.replies = replies  # the read end of its output
+        self.in_flight: deque[list] = deque()  # chunks sent and not answered, oldest first
+
+
+class _Workers:
+    """Up to ``limit`` processes, forked lazily and once each, that score
+    chunks of one evaluator's trees, and the batch being dealt to them.
+
+    A worker inherits ``score_order`` at the fork.  It is sent a chunk as
+    the structure keys of its trees, rebuilds each listing from its key,
+    and answers with the chunk's values in order; each worker holds at most
+    ``_CHUNKS_IN_FLIGHT`` chunks unanswered.  A worker that dies, or whose
+    pipe fails, is reaped and its unanswered chunks go back to the queue;
+    when a pipe or a fork fails, no worker is forked again and the rest is
+    scored here.
+    """
+
+    def __init__(self, score_order: Callable, limit: int):
+        self.score_order = score_order
+        self.forks_left = limit
+        self.live: list[_Worker] = []
+        self.by_replies: dict[int, _Worker] = {}
+        self.poller = select.poll()
+        self.queue: deque[list] = deque()  # whole chunks no worker has taken yet
+        self.chunk: list = []  # the keys of the chunk being filled
+        self.values: dict = {}  # key -> value, of the answered chunks
+
+    def usable(self) -> bool:
+        # a fork copies only the calling thread: another's locks stay held
+        return (self.forks_left > 0 or bool(self.live)) and threading.active_count() == 1
+
+    def deal(self, key: tuple) -> None:
+        self.chunk.append(key)
+        if len(self.chunk) == _CHUNK_TREES:
+            self.queue.append(self.chunk)
+            self.chunk = []
+            self._top_up()
+
+    def finish(self, misses: dict[tuple, list[Node]]) -> dict:
+        """The value of every key dealt since the last ``finish``: this
+        process scores the last, partial chunk and the whole ones no worker
+        takes, then waits for the rest."""
+        rest, self.chunk = self.chunk, []
+        while True:
+            self._top_up()
+            if rest or self.queue:
+                for key in rest or self.queue.pop():
+                    self.values[key] = self.score_order(misses[key])
+                rest = []
+            elif any(worker.in_flight for worker in self.live):
+                self._collect(None)
+            else:
+                break
+        values, self.values = self.values, {}
+        return values
+
+    def abandon(self) -> None:
+        """Drop the batch being dealt: a worker that owes replies is
+        retired, so that no later batch reads them."""
+        for worker in [worker for worker in self.live if worker.in_flight]:
+            self._retire(worker)
+        self.queue.clear()
+        self.chunk, self.values = [], {}
+
+    def close(self) -> None:
+        """End and reap every worker; no worker is forked after this."""
+        self.forks_left = 0
+        while self.live:
+            self._retire(self.live[-1])
+
+    def _top_up(self) -> None:
+        """Read the replies that are ready, then send queued chunks to the
+        workers with room, forking one when none has room."""
+        self._collect(0)
+        while self.queue:
+            worker = min(self.live, key=lambda w: len(w.in_flight), default=None)
+            if worker is None or len(worker.in_flight) >= _CHUNKS_IN_FLIGHT:
+                worker = self._fork() if self.forks_left > 0 else None
+                if worker is None:
+                    return
+            chunk = self.queue.popleft()
+            worker.in_flight.append(chunk)
+            try:
+                _write_message(worker.commands, chunk)
+            except OSError:  # it died: its chunks are queued again
+                self.queue.extend(self._retire(worker))
+
+    def _collect(self, timeout: int | None) -> None:
+        """Read every reply that is ready, waiting up to ``timeout`` ms
+        (None: until one is)."""
+        for fd, _ in self.poller.poll(timeout):
+            worker = self.by_replies[fd]
+            values = _read_message(fd)
+            if values is None:  # it died: its chunks are queued again
+                self.queue.extend(self._retire(worker))
+            else:
+                self.values.update(zip(worker.in_flight.popleft(), values))
+
+    def _fork(self) -> _Worker | None:
+        self.forks_left -= 1
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # no pipe or no process: score here from now on
+            for fd in fds:
+                os.close(fd)
+            self.forks_left = 0
+            return None
+        commands_in, commands, replies, replies_out = fds
+        if pid == 0:
+            for fd in _WORKER_FDS | {commands, replies}:
+                os.close(fd)
+            _serve(self.score_order, commands_in, replies_out)
+        os.close(commands_in)
+        os.close(replies_out)
+        worker = _Worker(pid, commands, replies)
+        _WORKER_FDS.update((commands, replies))
+        self.live.append(worker)
+        self.by_replies[replies] = worker
+        self.poller.register(replies, select.POLLIN)
+        return worker
+
+    def _retire(self, worker: _Worker) -> deque[list]:
+        """Close this process's ends of ``worker``'s pipes, which ends it (at
+        its next read or write), reap it, and return its unanswered chunks."""
+        self.live.remove(worker)
+        del self.by_replies[worker.replies]
+        self.poller.unregister(worker.replies)
+        for fd in (worker.commands, worker.replies):
+            _WORKER_FDS.discard(fd)
+            os.close(fd)
+        os.waitpid(worker.pid, 0)
+        return worker.in_flight
 
 
 def evaluate_matrix(tree: Node, X: np.ndarray) -> np.ndarray:

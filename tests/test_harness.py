@@ -486,11 +486,8 @@ SPLIT_POPULATION = 100
 
 
 def _split_csv(tmp_path):
-    """keijzer5's formula on enough rows that a batch of SPLIT_POPULATION
-    distinct trees, scored on the training three quarters, is split."""
-    from mosr import trees
-
-    rows = int(1.3 * 2 * trees._SPLIT_MIN_WORK / SPLIT_POPULATION / 0.75)
+    """keijzer5's formula on 2000 rows."""
+    rows = 2000
     rng = np.random.default_rng(17)
     X = rng.uniform(-1.0, 1.0, size=(rows, 3))
     X[:, 1] += 2.0

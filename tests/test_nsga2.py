@@ -347,14 +347,40 @@ class TestRun:
             calls.append(tree)
             return (float(tree.size), float(tree.height))
 
-        objective.prepare = lambda trees: batches.append((len(calls), list(trees)))
+        def prepare(trees):
+            start, batch = len(calls), []
+            batches.append((start, batch))
+            for tree in trees:  # recorded as they pass through
+                assert len(calls) == start  # none evaluated while the batch is drawn
+                batch.append(tree)
+
         config = EngineConfig(population_size=9, max_evaluations=40, seed=8)
-        _, evals = run(config, objective, n_variables=2)
+        unprepared, _ = run(config, objective, n_variables=2)
+        drawn, calls[:] = list(calls), []
+        objective.prepare = prepare
+        population, evals = run(config, objective, n_variables=2)
         assert evals == 45 and len(calls) == 45  # one call per evaluation
         assert [start for start, _ in batches] == [0, 9, 18, 27, 36]
         for start, trees in batches:
             assert all(a is b for a, b in zip(trees, calls[start:start + 9]))
             assert len(trees) == 9
+        assert calls == drawn  # the same trees in the same order as without prepare
+        assert [i.tree for i in population] == [i.tree for i in unprepared]
+
+    def test_trees_prepare_leaves_untaken_are_drawn_after_it(self):
+        calls, taken = [], []
+
+        def objective(tree):
+            calls.append(tree)
+            return (float(tree.size), float(tree.height))
+
+        config = EngineConfig(population_size=9, max_evaluations=40, seed=8)
+        run(config, objective, n_variables=2)
+        drawn, calls[:] = list(calls), []
+        objective.prepare = lambda trees: taken.append(next(trees))
+        _, evals = run(config, objective, n_variables=2)
+        assert evals == 45 and calls == drawn
+        assert taken == drawn[::9]
 
     def test_deterministic_per_seed(self):
         def objective(tree):

@@ -58,8 +58,15 @@ def test_the_traced_evaluator_keeps_prepare(monkeypatch):
         prepare = evaluator.prepare
 
         def counted_prepare(trees):
-            events.append(("prepare", list(trees)))
-            prepare(trees)
+            batch = []
+            events.append(("prepare", batch))
+
+            def recorded():  # the trees as they pass through, still drawn lazily
+                for tree in trees:
+                    batch.append(tree)
+                    yield tree
+
+            prepare(recorded())
 
         evaluator.prepare = counted_prepare
 

@@ -1,6 +1,8 @@
 import errno
+import gc
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -558,9 +560,10 @@ class TestScoreMemo:
 
 
 def _split_case(seed, n_trees=240):
-    """Rows enough that 200 trees split four ways, an R^2 score and a batch
-    with repeats, one tree object twice and a tree with a variable X lacks."""
-    X = _probe_data(4 * trees._SPLIT_MIN_WORK // 200)
+    """Rows enough that workers are used and trees are probed, an R^2 score
+    and a batch with repeats, one tree object twice and a tree with a
+    variable X lacks."""
+    X = _probe_data(2 * trees._PROBE_MIN_ROWS)
     r2 = make_pearson_r2(np.random.default_rng(seed).normal(size=X.shape[0]))
     rng = np.random.default_rng(seed)
     pool = [random_tree(rng, n_variables=4, max_length=30) for _ in range(n_trees)]
@@ -589,6 +592,25 @@ def _counting_forks(monkeypatch):
     return forks
 
 
+def _counting_chunks(monkeypatch):
+    """The chunks this process sends to workers."""
+    sent = []
+    write = trees._write_message
+
+    def counted(fd, obj):
+        sent.append(obj)
+        write(fd, obj)
+
+    monkeypatch.setattr(trees, "_write_message", counted)
+    return sent
+
+
+def _assert_scored_as(evaluate, reference, batch, n_cols):
+    for tree in batch:
+        if tree.max_var < n_cols:
+            assert evaluate(tree).hex() == reference(tree).hex(), to_sexpr(tree)
+
+
 class TestSplit:
     @pytest.mark.parametrize("shares", [2, 3, 4])
     def test_prepared_values_and_memo_match_the_calls_one_by_one(self, shares, monkeypatch):
@@ -600,7 +622,7 @@ class TestSplit:
         split = trees.make_matrix_evaluator(X, score=r2, measure=measure, shares=shares)
         for seed in range(3):
             batch = _split_case(seed)[2]
-            split.prepare(batch)
+            split.prepare(iter(batch))  # an iterator, as the engine hands it
             for tree in batch:
                 if tree.max_var >= X.shape[1]:
                     for evaluate in (one_by_one, split):
@@ -611,7 +633,8 @@ class TestSplit:
             memo, want = _closure(split)["memo"], _closure(one_by_one)["memo"]
             assert list(memo) == list(want)  # the same trees kept, in the same order
             assert [_pair_hex(v) for v in memo.values()] == [_pair_hex(v) for v in want.values()]
-        assert len(forks) == 3 * (shares - 1)
+        assert len(forks) == shares - 1  # once each, over all the batches
+        split.close()
         _no_child_left()
 
     def test_a_kept_tree_skips_the_measure(self):
@@ -627,18 +650,16 @@ class TestSplit:
         for tree in batch + batch:
             assert evaluate(tree) == (r2(evaluate_matrix(tree, X)), float(tree.size))
         assert len(folded) == len({trees._structure_key(trees.postorder(t)) for t in batch})
+        _no_child_left()
 
-    @pytest.mark.parametrize("case", ["few rows", "one share", "few to score", "threads"])
+    @pytest.mark.parametrize("case", ["one share", "few to score", "threads"])
     def test_gates_score_in_this_process(self, case, monkeypatch):
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(2)
-        if case == "few rows":  # the whole batch is too little work to split
-            X = X[: 2 * trees._SPLIT_MIN_WORK // len(batch) - 1]
-            r2 = make_pearson_r2(np.ones(X.shape[0]).cumsum())
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=1 if case == "one share" else 2)
         reference = trees.make_matrix_evaluator(X, score=r2)
-        if case == "few to score":  # kept but for too few trees
-            for tree in batch[: -80]:
+        if case == "few to score":  # all kept but less than a whole chunk
+            for tree in batch[: 240 - trees._CHUNK_TREES + 1]:
                 if tree.max_var < X.shape[1]:
                     evaluate(tree)
         done = threading.Event()
@@ -646,7 +667,7 @@ class TestSplit:
         if case == "threads":
             worker.start()
         try:
-            evaluate.prepare(batch)
+            evaluate.prepare(iter(batch))
         finally:
             done.set()
         if case == "threads":
@@ -654,24 +675,31 @@ class TestSplit:
             assert not worker.is_alive()
         assert forks == []
         assert len(_closure(evaluate)["prepared"]) == 240  # listed here all the same
-        for tree in batch:
-            if tree.max_var < X.shape[1]:
-                assert evaluate(tree).hex() == reference(tree).hex()
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        _no_child_left()
 
     def test_each_child_gets_a_tree_to_score(self, monkeypatch):
-        monkeypatch.setattr(trees, "_SPLIT_MIN_WORK", 1)  # any tree is work enough
+        # only a whole chunk is sent, so a worker always has trees to score
         forks = _counting_forks(monkeypatch)
-        X = _probe_data(50)
-        r2 = make_pearson_r2(np.ones(50).cumsum())
+        sent = _counting_chunks(monkeypatch)
+        X = _probe_data(50)[:2]  # no row count is too few for a worker
+        r2 = make_pearson_r2(np.ones(X.shape[0]).cumsum())
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=4)
         reference = trees.make_matrix_evaluator(X, score=r2)
-        lone, *pair = (parse_sexpr(t) for t in ("(sin x0)", "(cos x1)", "(exp x2)"))
+        rng = np.random.default_rng(5)
+        distinct = {}
+        while len(distinct) < 2 * trees._CHUNK_TREES:
+            tree = random_tree(rng, n_variables=4, max_length=20)
+            distinct.setdefault(trees._structure_key(trees.postorder(tree)), tree)
+        lone, *short = list(distinct.values())[: trees._CHUNK_TREES]
         assert evaluate(lone).hex() == reference(lone).hex()
-        assert forks == []  # one tree: scored here alone
-        evaluate.prepare(pair)
-        assert len(forks) == 1  # two trees: one child
-        for tree in pair:
-            assert evaluate(tree).hex() == reference(tree).hex()
+        evaluate.prepare(short)  # a lone tree, then one short of a chunk: scored here
+        assert forks == [] and sent == []
+        whole = list(distinct.values())[trees._CHUNK_TREES:]
+        evaluate.prepare(whole)
+        assert len(forks) == 1 and len(sent) == 1 and len(sent[0]) == trees._CHUNK_TREES
+        _assert_scored_as(evaluate, reference, [lone, *short, *whole], X.shape[1])
+        evaluate.close()
         _no_child_left()
 
     def test_a_failed_child_share_is_scored_here(self, monkeypatch):
@@ -687,11 +715,10 @@ class TestSplit:
         evaluate = trees.make_matrix_evaluator(X, score=score, shares=3)
         reference = trees.make_matrix_evaluator(X, score=r2)
         evaluate.prepare(batch)
-        assert len(forks) == 2
-        _no_child_left()
-        for tree in batch:
-            if tree.max_var < X.shape[1]:
-                assert evaluate(tree).hex() == reference(tree).hex()
+        assert len(forks) == 2  # each worker dies at its first chunk
+        _no_child_left()  # both reaped
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        evaluate.close()
 
     def test_a_failed_pipe_share_is_scored_here(self, monkeypatch):
         forks = _counting_forks(monkeypatch)
@@ -709,15 +736,39 @@ class TestSplit:
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=3)
         reference = trees.make_matrix_evaluator(X, score=r2)
         evaluate.prepare(batch)
-        assert len(forks) == 1 and len(pipes) == 2
+        evaluate.prepare(batch[::-1])
+        assert forks == [] and len(pipes) == 2  # never tried again
         _no_child_left()
-        for tree in batch:
-            if tree.max_var < X.shape[1]:
-                assert evaluate(tree).hex() == reference(tree).hex()
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_a_failed_second_worker_leaves_the_first(self, failing, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        calls = []
+        real = getattr(os, failing)
+
+        def third_fails():  # each worker takes two pipes and one fork
+            calls.append(1)
+            if len(calls) == (3 if failing == "pipe" else 2):
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, failing, third_fails)
+        X, r2, batch = _split_case(8)
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=3)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        for seed in range(3):
+            evaluate.prepare(_split_case(seed)[2])
+        assert len(_closure(evaluate)["workers"].live) == 1 and len(forks) == 1
+        evaluate.prepare(batch)
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        evaluate.close()
+        _no_child_left()
 
     def test_lone_calls_between_a_batchs_calls(self, monkeypatch):
         monkeypatch.setattr(trees, "_MEMO_SIZE", 100)  # the batch overflows it
         forks = _counting_forks(monkeypatch)
+        sent = _counting_chunks(monkeypatch)
         X, r2, batch = _split_case(6)
         rng = np.random.default_rng(7)
         lone = [random_tree(rng, n_variables=4, max_length=30) for _ in range(60)]
@@ -725,6 +776,7 @@ class TestSplit:
         memo = _closure(evaluate)["memo"]
         evaluate.prepare(batch)
         assert len(forks) == 1
+        chunks = len(sent)
         for step, tree in enumerate(batch):
             if step % 5 == 0:
                 other = lone[step // 5 % len(lone)]
@@ -736,7 +788,8 @@ class TestSplit:
                 continue
             assert evaluate(tree).hex() == r2(evaluate_matrix(tree, X)).hex(), to_sexpr(tree)
             assert len(memo) <= trees._MEMO_SIZE
-        assert len(forks) == 1  # a lone tree is too little work to split
+        assert len(sent) == chunks  # a lone call never reaches a worker
+        evaluate.close()
         _no_child_left()
 
     def test_children_are_reaped_when_this_process_raises(self, monkeypatch):
@@ -748,7 +801,7 @@ class TestSplit:
         def score(values):
             if os.getpid() == parent:
                 calls.append(1)
-                if len(calls) > 3:  # the all-NaN score and two of this share
+                if len(calls) == 4:  # the all-NaN score and two of the rest
                     raise KeyboardInterrupt
             return r2(values)
 
@@ -756,7 +809,111 @@ class TestSplit:
         with pytest.raises(KeyboardInterrupt):
             evaluate.prepare(batch)
         assert len(forks) == 3
+        assert all(not worker.in_flight for worker in _closure(evaluate)["workers"].live)
+        evaluate.close()
         _no_child_left()
+
+    @pytest.mark.parametrize("failure", ["iterator", "interrupt"])
+    def test_a_batch_that_raises_leaves_no_reply_behind(self, failure, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(9)
+        parent = os.getpid()
+        interrupt = []
+
+        def score(values):
+            if os.getpid() == parent and interrupt:
+                interrupt.clear()
+                raise KeyboardInterrupt
+            return r2(values)
+
+        def draws():
+            yield from batch[:200]
+            if failure == "iterator":
+                raise ValueError("drawing failed")
+
+        evaluate = trees.make_matrix_evaluator(X, score=score, shares=3)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        evaluate.prepare(_split_case(10)[2])  # the workers are forked
+        if failure == "interrupt":
+            interrupt.append(1)
+        with pytest.raises(ValueError if failure == "iterator" else KeyboardInterrupt):
+            evaluate.prepare(draws())
+        nxt = _split_case(11)[2]
+        evaluate.prepare(nxt)
+        _assert_scored_as(evaluate, reference, nxt, X.shape[1])
+        assert 1 <= len(forks) <= 2
+        evaluate.close()
+        _no_child_left()
+
+    def test_a_killed_worker_s_chunks_are_scored_here(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(12)
+        parent = os.getpid()
+        live = []
+        killed = []
+
+        def score(values):
+            if os.getpid() == parent and live and not killed:
+                os.kill(live[0].pid, signal.SIGKILL)  # with chunks in flight
+                killed.append(live[0].pid)
+            return r2(values)
+
+        evaluate = trees.make_matrix_evaluator(X, score=score, shares=2)
+        live = _closure(evaluate)["workers"].live
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        first = _split_case(13)[2]
+        evaluate.prepare(first)
+        assert killed and len(forks) == 1
+        _no_child_left()  # the dead worker is reaped
+        _assert_scored_as(evaluate, reference, first, X.shape[1])
+        evaluate.prepare(batch)  # and every later chunk is scored here
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        assert len(forks) == 1
+        evaluate.close()
+        _no_child_left()
+
+    @pytest.mark.parametrize("order", ["first closed first", "last closed first"])
+    def test_two_evaluators_close_in_either_order(self, order, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(14)
+        evaluators = [trees.make_matrix_evaluator(X, score=r2, shares=2) for _ in range(2)]
+        for evaluate in evaluators:
+            evaluate.prepare(batch)
+        assert len(forks) == 2
+        # the second worker was forked holding the first one's pipes; had
+        # it kept them open, the first would never see its end of input
+        for evaluate in evaluators if order == "first closed first" else evaluators[::-1]:
+            evaluate.close()
+        _no_child_left()
+
+    def test_close_is_idempotent_and_a_dropped_evaluator_is_closed(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        X, r2, batch = _split_case(15)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
+        evaluate.prepare(batch)
+        evaluate.close()
+        evaluate.close()
+        _no_child_left()
+        evaluate.prepare(batch[::-1])  # scored here from now on
+        assert len(forks) == 1
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        dropped = trees.make_matrix_evaluator(X, score=r2, shares=2)
+        dropped.prepare(batch)
+        assert len(forks) == 2
+        del dropped
+        gc.collect()
+        _no_child_left()
+
+    def test_a_key_rebuilds_its_tree(self):
+        rng = np.random.default_rng(16)
+        shapes = [random_tree(rng, n_variables=4, max_length=60) for _ in range(300)]
+        shapes += [parse_sexpr(t) for t in ("(+ x0 -0 0 x1)", "(div 1 x3)", "x2", "-7.5")]
+        shapes += [constant(math.inf), function("mul", [constant(-math.inf), variable(1)])]
+        for tree in shapes:
+            key = trees._structure_key(trees.postorder(tree))
+            rebuilt = trees._listing(key)
+            assert rebuilt[-1] == tree and trees._structure_key(rebuilt) == key
 
 
 class TestShape:
