@@ -507,8 +507,8 @@ def make_matrix_evaluator(
 
     def prepare(trees: Iterable[Node]) -> None:
         prepared.clear()
-        dealer = workers if workers.usable() else None
-        if dealer is None:
+        dealing = workers.usable()
+        if not dealing:
             trees = list(trees)  # in one process, listing each tree as it is drawn ran slower
         batch: list[Node] = []
         keys: list[tuple | None] = []  # None: a tree the call rejects
@@ -527,15 +527,15 @@ def make_matrix_evaluator(
                     values[key] = memo[key]
                 elif key not in misses:
                     misses[key] = order
-                    if dealer is not None:
-                        dealer.deal(key)
-            if dealer is None:
-                values.update(zip(misses, map(score_order, misses.values())))
+                    if dealing:
+                        workers.deal(key)
+            if dealing:
+                values.update(workers.finish(misses))
             else:
-                values.update(dealer.finish(misses))
+                values.update(zip(misses, map(score_order, misses.values())))
         except BaseException:
-            if dealer is not None:
-                dealer.abandon()
+            if dealing:
+                workers.abandon()
             raise
         # the kept values and their order of use, as the calls would leave them
         for tree, key in zip(batch, keys):
@@ -644,8 +644,7 @@ class _Workers:
     def __init__(self, score_order: Callable, limit: int):
         self.score_order = score_order
         self.forks_left = limit
-        self.live: list[_Worker] = []
-        self.by_replies: dict[int, _Worker] = {}
+        self.live: dict[int, _Worker] = {}  # by the read end of its replies
         self.poller = select.poll()
         self.queue: deque[list] = deque()  # whole chunks no worker has taken yet
         self.chunk: list = []  # the keys of the chunk being filled
@@ -673,7 +672,7 @@ class _Workers:
                 for key in rest or self.queue.pop():
                     self.values[key] = self.score_order(misses[key])
                 rest = []
-            elif any(worker.in_flight for worker in self.live):
+            elif any(worker.in_flight for worker in self.live.values()):
                 self._collect(None)
             else:
                 break
@@ -683,7 +682,7 @@ class _Workers:
     def abandon(self) -> None:
         """Drop the batch being dealt: a worker that owes replies is
         retired, so that no later batch reads them."""
-        for worker in [worker for worker in self.live if worker.in_flight]:
+        for worker in [worker for worker in self.live.values() if worker.in_flight]:
             self._retire(worker)
         self.queue.clear()
         self.chunk, self.values = [], {}
@@ -691,15 +690,15 @@ class _Workers:
     def close(self) -> None:
         """End and reap every worker; no worker is forked after this."""
         self.forks_left = 0
-        while self.live:
-            self._retire(self.live[-1])
+        for worker in list(self.live.values()):
+            self._retire(worker)
 
     def _top_up(self) -> None:
         """Read the replies that are ready, then send queued chunks to the
         workers with room, forking one when none has room."""
         self._collect(0)
         while self.queue:
-            worker = min(self.live, key=lambda w: len(w.in_flight), default=None)
+            worker = min(self.live.values(), key=lambda w: len(w.in_flight), default=None)
             if worker is None or len(worker.in_flight) >= _CHUNKS_IN_FLIGHT:
                 worker = self._fork() if self.forks_left > 0 else None
                 if worker is None:
@@ -715,7 +714,7 @@ class _Workers:
         """Read every reply that is ready, waiting up to ``timeout`` ms
         (None: until one is)."""
         for fd, _ in self.poller.poll(timeout):
-            worker = self.by_replies[fd]
+            worker = self.live[fd]
             values = _read_message(fd)
             if values is None:  # it died: its chunks are queued again
                 self.queue.extend(self._retire(worker))
@@ -743,16 +742,14 @@ class _Workers:
         os.close(replies_out)
         worker = _Worker(pid, commands, replies)
         _WORKER_FDS.update((commands, replies))
-        self.live.append(worker)
-        self.by_replies[replies] = worker
+        self.live[replies] = worker
         self.poller.register(replies, select.POLLIN)
         return worker
 
     def _retire(self, worker: _Worker) -> deque[list]:
         """Close this process's ends of ``worker``'s pipes, which ends it (at
         its next read or write), reap it, and return its unanswered chunks."""
-        self.live.remove(worker)
-        del self.by_replies[worker.replies]
+        del self.live[worker.replies]
         self.poller.unregister(worker.replies)
         for fd in (worker.commands, worker.replies):
             _WORKER_FDS.discard(fd)

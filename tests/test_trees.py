@@ -809,7 +809,8 @@ class TestSplit:
         with pytest.raises(KeyboardInterrupt):
             evaluate.prepare(batch)
         assert len(forks) == 3
-        assert all(not worker.in_flight for worker in _closure(evaluate)["workers"].live)
+        live = _closure(evaluate)["workers"].live.values()
+        assert all(not worker.in_flight for worker in live)  # none owes a reply
         evaluate.close()
         _no_child_left()
 
@@ -849,13 +850,14 @@ class TestSplit:
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(12)
         parent = os.getpid()
-        live = []
+        live = {}
         killed = []
 
         def score(values):
             if os.getpid() == parent and live and not killed:
-                os.kill(live[0].pid, signal.SIGKILL)  # with chunks in flight
-                killed.append(live[0].pid)
+                worker = next(iter(live.values()))
+                os.kill(worker.pid, signal.SIGKILL)  # with chunks in flight
+                killed.append(worker.pid)
             return r2(values)
 
         evaluate = trees.make_matrix_evaluator(X, score=score, shares=2)
