@@ -439,8 +439,9 @@ def make_matrix_evaluator(
     the iterator is done.  A tree's value depends on the tree alone, so
     where it is computed changes no value.  A batch is scored here alone,
     after the iterator is turned into a list, when ``shares`` is 1,
-    ``os.fork`` does not exist, or the process runs other threads.  The callable's ``close()`` ends the
-    workers; it is idempotent, and runs when the callable is collected.
+    ``os.fork`` does not exist, or the process runs other threads.  The
+    callable's ``close()`` ends the workers; it is idempotent, and runs
+    when the callable is collected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -605,12 +606,15 @@ def _read_message(fd: int):
     return None if data is None else pickle.loads(data)  # this program's own bytes
 
 
-def _serve(score_order: Callable, commands: int, replies: int) -> None:
-    """A worker's life: read chunks of structure keys from ``commands``
-    and write their values to ``replies``, until ``commands`` ends.  Never
-    returns; the exit status is 0 only after an end of input."""
+def _serve(score_order: Callable, commands: int, replies: int, inherited: set[int]) -> None:
+    """A worker's life: close the ``inherited`` pipe ends, then read chunks
+    of structure keys from ``commands`` and write their values to
+    ``replies``, until ``commands`` ends.  Never returns; the exit status
+    is 0 only after an end of input."""
     status = 1
     try:
+        for fd in inherited:
+            os.close(fd)
         while (keys := _read_message(commands)) is not None:
             _write_message(replies, [score_order(_listing(key)) for key in keys])
         status = 0
@@ -735,9 +739,7 @@ class _Workers:
             return None
         commands_in, commands, replies, replies_out = fds
         if pid == 0:
-            for fd in _WORKER_FDS | {commands, replies}:
-                os.close(fd)
-            _serve(self.score_order, commands_in, replies_out)
+            _serve(self.score_order, commands_in, replies_out, _WORKER_FDS | {commands, replies})
         os.close(commands_in)
         os.close(replies_out)
         worker = _Worker(pid, commands, replies)
