@@ -534,8 +534,10 @@ class TestSplitRuns:
         config = _split_config(_split_csv(tmp_path))
         run = harness.run
         objectives: list = []
+        evaluators = []  # kept alive, so only close() can end their workers
 
         def recording_run(config, objective_fn, n_variables, on_generation=None):
+            evaluators.append(objective_fn)
             # wrapped as the benchmark's tracer wraps it: prepare is copied
             @functools.wraps(objective_fn)
             def recorded(tree):

@@ -377,7 +377,11 @@ class TestRun:
         config = EngineConfig(population_size=9, max_evaluations=40, seed=8)
         run(config, objective, n_variables=2)
         drawn, calls[:] = list(calls), []
-        objective.prepare = lambda trees: taken.append(next(trees))
+        def prepare(trees):
+            assert len(taken) < 5, "a batch was never drawn"
+            taken.append(next(trees))
+
+        objective.prepare = prepare
         _, evals = run(config, objective, n_variables=2)
         assert evals == 45 and calls == drawn
         assert taken == drawn[::9]

@@ -892,14 +892,19 @@ class TestSplit:
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(15)
         reference = trees.make_matrix_evaluator(X, score=r2)
+        unused = trees.make_matrix_evaluator(X, score=r2, shares=2)
+        unused.close()
+        unused.prepare(batch)  # closed before it needed a worker
+        assert forks == []
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
         evaluate.prepare(batch)
         evaluate.close()
         evaluate.close()
         _no_child_left()
-        evaluate.prepare(batch[::-1])  # scored here from now on
+        fresh = _split_case(16)[2]
+        evaluate.prepare(fresh)  # scored here from now on
         assert len(forks) == 1
-        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        _assert_scored_as(evaluate, reference, fresh, X.shape[1])
         dropped = trees.make_matrix_evaluator(X, score=r2, shares=2)
         dropped.prepare(batch)
         assert len(forks) == 2
