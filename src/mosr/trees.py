@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import pickle
 import select
+import signal
 import threading
 import weakref
 from collections import OrderedDict, deque
@@ -284,11 +285,6 @@ _MEMO_SIZE = 2048
 _CHUNK_TREES = 8
 _CHUNKS_IN_FLIGHT = 2
 
-# This process's ends of the pipes of every live scoring worker, of every
-# evaluator.  A new worker closes them all, so that no worker holds another
-# worker's pipe open after that one is closed.
-_WORKER_FDS: set[int] = set()
-
 
 def _read_only_columns(X: np.ndarray) -> list[np.ndarray]:
     cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
@@ -432,16 +428,14 @@ def make_matrix_evaluator(
     checks its variables and is ``prepare`` of that tree alone.  A tree
     using a variable ``X`` lacks is left to its call, which raises.
 
-    With ``shares`` above 1, up to ``shares - 1`` worker processes help
-    score (see :class:`_Workers`): each whole chunk of ``_CHUNK_TREES``
-    trees to score is sent to a worker with room while the iterator draws
-    the next trees, and this process scores the chunks no worker took once
-    the iterator is done.  A tree's value depends on the tree alone, so
-    where it is computed changes no value.  A batch is scored here alone,
-    after the iterator is turned into a list, when ``shares`` is 1,
-    ``os.fork`` does not exist, or the process runs other threads.  The
-    callable's ``close()`` ends the workers; it is idempotent, and runs
-    when the callable is collected.
+    Every batch is scored by one loop, in chunks of ``_CHUNK_TREES`` trees
+    (see :class:`_Workers`).  With ``shares`` above 1, up to ``shares - 1``
+    worker processes take whole chunks while the iterator draws the next
+    trees; this process scores the chunks no worker took, all of them when
+    ``shares`` is 1, ``os.fork`` does not exist or other threads run.  A
+    tree's value depends on the tree alone, so where it is computed changes
+    no value.  The callable's ``close()`` ends the workers; it is
+    idempotent, and runs when the callable is collected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -508,9 +502,6 @@ def make_matrix_evaluator(
 
     def prepare(trees: Iterable[Node]) -> None:
         prepared.clear()
-        dealing = workers.usable()
-        if not dealing:
-            trees = list(trees)  # in one process, listing each tree as it is drawn ran slower
         batch: list[Node] = []
         keys: list[tuple | None] = []  # None: a tree the call rejects
         values: dict[tuple, object] = {}  # key -> value, for the kept trees
@@ -528,15 +519,10 @@ def make_matrix_evaluator(
                     values[key] = memo[key]
                 elif key not in misses:
                     misses[key] = order
-                    if dealing:
-                        workers.deal(key)
-            if dealing:
-                values.update(workers.finish(misses))
-            else:
-                values.update(zip(misses, map(score_order, misses.values())))
+                    workers.deal(key)
+            values.update(workers.finish(misses))
         except BaseException:
-            if dealing:
-                workers.abandon()
+            workers.abandon()
             raise
         # the kept values and their order of use, as the calls would leave them
         for tree, key in zip(batch, keys):
@@ -606,20 +592,15 @@ def _read_message(fd: int):
     return None if data is None else pickle.loads(data)  # this program's own bytes
 
 
-def _serve(score_order: Callable, commands: int, replies: int, inherited: set[int]) -> None:
-    """A worker's life: close the ``inherited`` pipe ends, then read chunks
-    of structure keys from ``commands`` and write their values to
-    ``replies``, until ``commands`` ends.  Never returns; the exit status
-    is 0 only after an end of input."""
-    status = 1
+def _serve(score_order: Callable, commands: int, replies: int) -> None:
+    """A worker's life: read chunks of structure keys from ``commands`` and
+    write their values to ``replies``, until the run's process kills it or
+    ``commands`` ends.  Never returns."""
     try:
-        for fd in inherited:
-            os.close(fd)
         while (keys := _read_message(commands)) is not None:
             _write_message(replies, [score_order(_listing(key)) for key in keys])
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 class _Worker:
@@ -633,16 +614,17 @@ class _Worker:
 
 
 class _Workers:
-    """Up to ``limit`` processes, forked lazily and once each, that score
-    chunks of one evaluator's trees, and the batch being dealt to them.
+    """The scorer of one evaluator's batches, dealt in chunks: this process
+    scores every chunk that none of up to ``limit`` workers, processes
+    forked lazily and once each (never while other threads run), takes.
 
     A worker inherits ``score_order`` at the fork.  It is sent a chunk as
     the structure keys of its trees, rebuilds each listing from its key,
     and answers with the chunk's values in order; each worker holds at most
     ``_CHUNKS_IN_FLIGHT`` chunks unanswered.  A worker that dies, or whose
     pipe fails, is reaped and its unanswered chunks go back to the queue;
-    when a pipe or a fork fails, no worker is forked again and the rest is
-    scored here.
+    when a pipe or a fork fails, no worker is forked again.  A worker is
+    ended by a signal, whatever other processes hold its pipes.
     """
 
     def __init__(self, score_order: Callable, limit: int):
@@ -653,10 +635,6 @@ class _Workers:
         self.queue: deque[list] = deque()  # whole chunks no worker has taken yet
         self.chunk: list = []  # the keys of the chunk being filled
         self.values: dict = {}  # key -> value, of the answered chunks
-
-    def usable(self) -> bool:
-        # a fork copies only the calling thread: another's locks stay held
-        return (self.forks_left > 0 or bool(self.live)) and threading.active_count() == 1
 
     def deal(self, key: tuple) -> None:
         self.chunk.append(key)
@@ -704,7 +682,7 @@ class _Workers:
         while self.queue:
             worker = min(self.live.values(), key=lambda w: len(w.in_flight), default=None)
             if worker is None or len(worker.in_flight) >= _CHUNKS_IN_FLIGHT:
-                worker = self._fork() if self.forks_left > 0 else None
+                worker = self._fork()
                 if worker is None:
                     return
             chunk = self.queue.popleft()
@@ -726,6 +704,9 @@ class _Workers:
                 self.values.update(zip(worker.in_flight.popleft(), values))
 
     def _fork(self) -> _Worker | None:
+        # a fork copies only the calling thread: another's locks stay held
+        if self.forks_left <= 0 or threading.active_count() > 1:
+            return None
         self.forks_left -= 1
         fds: list[int] = []
         try:
@@ -739,24 +720,24 @@ class _Workers:
             return None
         commands_in, commands, replies, replies_out = fds
         if pid == 0:
-            _serve(self.score_order, commands_in, replies_out, _WORKER_FDS | {commands, replies})
+            os.close(commands)  # so that the run's process, should it die, ends the input
+            _serve(self.score_order, commands_in, replies_out)
         os.close(commands_in)
         os.close(replies_out)
         worker = _Worker(pid, commands, replies)
-        _WORKER_FDS.update((commands, replies))
         self.live[replies] = worker
         self.poller.register(replies, select.POLLIN)
         return worker
 
     def _retire(self, worker: _Worker) -> deque[list]:
-        """Close this process's ends of ``worker``'s pipes, which ends it (at
-        its next read or write), reap it, and return its unanswered chunks."""
+        """End ``worker`` by SIGKILL, even mid-chunk, reap it, close this
+        process's ends of its pipes, and return its unanswered chunks."""
         del self.live[worker.replies]
         self.poller.unregister(worker.replies)
-        for fd in (worker.commands, worker.replies):
-            _WORKER_FDS.discard(fd)
-            os.close(fd)
+        os.kill(worker.pid, signal.SIGKILL)
         os.waitpid(worker.pid, 0)
+        os.close(worker.commands)
+        os.close(worker.replies)
         return worker.in_flight
 
 

@@ -2,8 +2,10 @@ import errno
 import gc
 import math
 import os
+import select
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -120,7 +122,7 @@ def _uncached(tree, X):
 
 def _closure(fn):
     """The free variables of ``fn`` by name, and those of the evaluator's
-    own nested functions it closes over."""
+    own nested functions it closes over, its scorer's ``score_order`` too."""
     found: dict = {}
     todo = [fn]
     while todo:
@@ -131,6 +133,8 @@ def _closure(fn):
             found[name] = value = cell.cell_contents
             if getattr(value, "__qualname__", "").startswith("make_matrix_evaluator.<locals>"):
                 todo.append(value)
+            elif isinstance(value, trees._Workers):
+                todo.append(value.score_order)
     return found
 
 
@@ -580,6 +584,12 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """How many file descriptors this process holds; None where
+    ``/proc/self/fd`` does not exist."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def _counting_forks(monkeypatch):
     forks = []
     fork = os.fork
@@ -814,17 +824,22 @@ class TestSplit:
         evaluate.close()
         _no_child_left()
 
-    @pytest.mark.parametrize("failure", ["iterator", "interrupt"])
-    def test_a_batch_that_raises_leaves_no_reply_behind(self, failure, monkeypatch):
+    @pytest.mark.parametrize("failure", ["iterator", "interrupt", "interrupt mid-chunk"])
+    def test_a_batch_that_raises_leaves_no_reply_behind(self, failure, monkeypatch, tmp_path):
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(9)
         parent = os.getpid()
         interrupt = []
+        slow = tmp_path / "slow"  # while it exists, each worker sleeps once
+        slept = []
 
         def score(values):
             if os.getpid() == parent and interrupt:
                 interrupt.clear()
                 raise KeyboardInterrupt
+            if os.getpid() != parent and not slept and slow.exists():
+                slept.append(1)
+                time.sleep(5)
             return r2(values)
 
         def draws():
@@ -835,10 +850,15 @@ class TestSplit:
         evaluate = trees.make_matrix_evaluator(X, score=score, shares=3)
         reference = trees.make_matrix_evaluator(X, score=r2)
         evaluate.prepare(_split_case(10)[2])  # the workers are forked
-        if failure == "interrupt":
+        if failure != "iterator":
             interrupt.append(1)
+        if failure == "interrupt mid-chunk":
+            slow.touch()
+        start = time.monotonic()
         with pytest.raises(ValueError if failure == "iterator" else KeyboardInterrupt):
             evaluate.prepare(draws())
+        assert time.monotonic() - start < 2.5  # no wait for a worker's chunk
+        slow.unlink(missing_ok=True)
         nxt = _split_case(11)[2]
         evaluate.prepare(nxt)
         _assert_scored_as(evaluate, reference, nxt, X.shape[1])
@@ -860,6 +880,7 @@ class TestSplit:
                 killed.append(worker.pid)
             return r2(values)
 
+        fds = _open_fds()
         evaluate = trees.make_matrix_evaluator(X, score=score, shares=2)
         live = _closure(evaluate)["workers"].live
         reference = trees.make_matrix_evaluator(X, score=r2)
@@ -867,12 +888,14 @@ class TestSplit:
         evaluate.prepare(first)
         assert killed and len(forks) == 1
         _no_child_left()  # the dead worker is reaped
+        assert _open_fds() == fds  # and its pipes are closed
         _assert_scored_as(evaluate, reference, first, X.shape[1])
         evaluate.prepare(batch)  # and every later chunk is scored here
         _assert_scored_as(evaluate, reference, batch, X.shape[1])
         assert len(forks) == 1
         evaluate.close()
         _no_child_left()
+        assert _open_fds() == fds
 
     @pytest.mark.parametrize("order", ["first closed first", "last closed first"])
     def test_two_evaluators_close_in_either_order(self, order, monkeypatch):
@@ -882,11 +905,34 @@ class TestSplit:
         for evaluate in evaluators:
             evaluate.prepare(batch)
         assert len(forks) == 2
-        # the second worker was forked holding the first one's pipes; had
-        # it kept them open, the first would never see its end of input
+        # the second worker holds the first one's pipe ends, so the first
+        # never sees its input end; closing returns all the same, because
+        # each worker is ended by a signal
         for evaluate in evaluators if order == "first closed first" else evaluators[::-1]:
             evaluate.close()
         _no_child_left()
+
+    def test_a_worker_ends_when_its_run_s_process_dies(self):
+        X, r2, batch = _split_case(17)
+        watch, held = os.pipe()  # held open by the run's process and its worker only
+        pid = os.fork()
+        if pid == 0:  # the run's process: it forks a worker, then dies without close()
+            try:
+                os.close(watch)
+                evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
+                evaluate.prepare(batch)
+                (worker,) = _closure(evaluate)["workers"].live.values()
+                os.write(held, str(worker.pid).encode())
+            finally:
+                os._exit(0)
+        os.close(held)
+        os.waitpid(pid, 0)
+        worker = int(os.read(watch, 32))
+        ended = select.select([watch], [], [], 20)[0] and os.read(watch, 1) == b""
+        os.close(watch)
+        if not ended:
+            os.kill(worker, signal.SIGKILL)  # not this process's child: nothing else ends it
+        assert ended  # every holder of `held`, the worker included, is gone
 
     def test_close_is_idempotent_and_a_dropped_evaluator_is_closed(self, monkeypatch):
         forks = _counting_forks(monkeypatch)
@@ -896,11 +942,13 @@ class TestSplit:
         unused.close()
         unused.prepare(batch)  # closed before it needed a worker
         assert forks == []
+        fds = _open_fds()
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
         evaluate.prepare(batch)
         evaluate.close()
         evaluate.close()
         _no_child_left()
+        assert _open_fds() == fds
         fresh = _split_case(16)[2]
         evaluate.prepare(fresh)  # scored here from now on
         assert len(forks) == 1
@@ -911,6 +959,7 @@ class TestSplit:
         del dropped
         gc.collect()
         _no_child_left()
+        assert _open_fds() == fds
 
     def test_a_key_rebuilds_its_tree(self):
         rng = np.random.default_rng(16)
