@@ -21,7 +21,7 @@ from dataclasses import fields
 from . import benchmarks
 from .complexity import MEASURES, RULE_TABLES
 from .harness import ExperimentConfig, execute_experiment, load_config
-from .metrics import accuracy_report
+from .metrics import fit_linear_scaling, nmse, pearson_r2, scaled_nmse
 from .sexpr import parse_sexpr
 from .trees import evaluate_matrix
 
@@ -127,8 +127,9 @@ def _cmd_eval(args) -> int:
         tree = parse_sexpr(handle.read())
     dataset = benchmarks.load_csv(args.data, args.target, train_fraction=1.0)
     pred = evaluate_matrix(tree, dataset.columns)
-    report = accuracy_report(pred, dataset.target)
-    print(f"r2={report.r2!r} nmse={report.nmse_raw!r} scaled_nmse={report.nmse_scaled!r}")
+    actual = dataset.target
+    scaled = scaled_nmse(pred, actual, *fit_linear_scaling(pred, actual))
+    print(f"r2={pearson_r2(pred, actual)!r} nmse={nmse(pred, actual)!r} scaled_nmse={scaled!r}")
     return 0
 
 

@@ -22,6 +22,8 @@ Config files are line-oriented ``key = value`` with ``#`` comments, e.g.::
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -310,13 +312,11 @@ def _front_models(
 
 
 def write_front_csv(models: Sequence[FrontModel], path: str) -> None:
-    lines = ["length,objective2,train_nmse,test_nmse,model"]
-    for m in sorted(models, key=lambda m: m.objective2):
-        lines.append(
-            f"{m.length},{repr(m.objective2)},{repr(m.train_nmse)},"
-            f"{repr(m.test_nmse)},{m.sexpr}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        [m.length, m.objective2, m.train_nmse, m.test_nmse, m.sexpr]
+        for m in sorted(models, key=lambda m: m.objective2)
+    ]
+    _write_csv(path, "length,objective2,train_nmse,test_nmse,model".split(","), rows)
 
 
 def _split_validation(
@@ -428,36 +428,30 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """``header`` and ``rows`` as CSV, a field quoted where it holds a comma
+    (a float is written as its ``repr``), through :func:`_write_text`'s
+    atomic replace."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue())
+
+
 def write_runs_csv(results: Sequence[RunResult], path: str) -> None:
-    lines = ["seed,train_nmse,test_nmse,length,evaluations,model"]
-    for r in results:
-        lines.append(
-            f"{r.seed},{repr(r.best.train_nmse)},{repr(r.best.test_nmse)},"
-            f"{r.best.length},{r.eval_count},{r.best.sexpr}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        [r.seed, r.best.train_nmse, r.best.test_nmse, r.best.length, r.eval_count, r.best.sexpr]
+        for r in results
+    ]
+    _write_csv(path, "seed,train_nmse,test_nmse,length,evaluations,model".split(","), rows)
 
 
 def write_aggregate_csv(stats: AggregateStats, path: str) -> None:
-    header = (
-        "problem,objective2,repetitions,train_nmse_mean,train_nmse_std,"
-        "test_nmse_mean,test_nmse_std,length_mean,length_std,rules"
-    )
-    row = ",".join(
-        [
-            stats.label,
-            stats.objective2,
-            str(stats.repetitions),
-            repr(stats.train_nmse_mean),
-            repr(stats.train_nmse_std),
-            repr(stats.test_nmse_mean),
-            repr(stats.test_nmse_std),
-            repr(stats.length_mean),
-            repr(stats.length_std),
-            stats.rules,
-        ]
-    )
-    _write_text(path, header + "\n" + row + "\n")
+    # a column per field, in field order; the label is the problem's name
+    names = [f.name for f in fields(AggregateStats)]
+    header = ["problem" if name == "label" else name for name in names]
+    _write_csv(path, header, [[getattr(stats, name) for name in names]])
 
 
 def execute_experiment(

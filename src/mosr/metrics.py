@@ -15,7 +15,6 @@ normalizes by the population variance (divide by n) of the actual values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -114,7 +113,8 @@ def nmse(pred, actual) -> float:
         raise ValueError("NMSE is undefined for a zero-variance target")
     if not np.isfinite(p).all():
         return float("inf")
-    return float(np.mean((p - a) ** 2)) / variance
+    with np.errstate(over="ignore"):  # finite errors whose squares overflow: inf
+        return float(np.mean((p - a) ** 2)) / variance
 
 
 def fit_linear_scaling(pred, actual) -> tuple[float, float]:
@@ -147,24 +147,3 @@ def scaled_nmse(pred, actual, slope: float, intercept: float) -> float:
     with np.errstate(all="ignore"):
         scaled = slope * p + intercept
     return nmse(scaled, a)
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    r2: float
-    nmse_raw: float
-    nmse_scaled: float
-    slope: float
-    intercept: float
-
-
-def accuracy_report(pred, actual) -> AccuracyReport:
-    """R^2 and raw/scaled NMSE with the scaling fit on these same rows."""
-    slope, intercept = fit_linear_scaling(pred, actual)
-    return AccuracyReport(
-        r2=pearson_r2(pred, actual),
-        nmse_raw=nmse(pred, actual),
-        nmse_scaled=scaled_nmse(pred, actual, slope, intercept),
-        slope=slope,
-        intercept=intercept,
-    )

@@ -42,8 +42,6 @@ to be penalised by the fitness function, not masked here.
 from __future__ import annotations
 
 import os
-import pickle
-import select
 import signal
 import threading
 import weakref
@@ -564,52 +562,24 @@ def _listing(key: tuple) -> list[Node]:
     return order
 
 
-def _write_message(fd: int, obj) -> None:
-    """``obj`` pickled down ``fd``, after its length as 8 bytes."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd: int, size: int) -> bytes | None:
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            return None
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
-def _read_message(fd: int):
-    """The next object :func:`_write_message` sent down ``fd``, or None at
-    its end.  Raw reads: a buffered reader could hold a message that a
-    wait on ``fd`` no longer sees."""
-    header = _read_exact(fd, 8)
-    data = None if header is None else _read_exact(fd, int.from_bytes(header, "little"))
-    return None if data is None else pickle.loads(data)  # this program's own bytes
-
-
-def _serve(score_order: Callable, commands: int, replies: int) -> None:
-    """A worker's life: read chunks of structure keys from ``commands`` and
-    write their values to ``replies``, until the run's process kills it or
-    ``commands`` ends.  Never returns."""
+def _serve(score_order: Callable, conn) -> None:
+    """A worker's life: receive chunks of structure keys on ``conn`` and
+    send back their values, until the run's process kills it or closes its
+    end of ``conn`` (an ``EOFError``).  Never returns."""
     try:
-        while (keys := _read_message(commands)) is not None:
-            _write_message(replies, [score_order(_listing(key)) for key in keys])
+        while True:
+            keys = conn.recv()
+            conn.send([score_order(_listing(key)) for key in keys])
     finally:
         os._exit(0)
 
 
 class _Worker:
-    __slots__ = ("pid", "commands", "replies", "in_flight")
+    __slots__ = ("pid", "conn", "in_flight")
 
-    def __init__(self, pid: int, commands: int, replies: int):
+    def __init__(self, pid: int, conn):
         self.pid = pid
-        self.commands = commands  # the write end of its input
-        self.replies = replies  # the read end of its output
+        self.conn = conn  # this process's end of its duplex connection
         self.in_flight: deque[list] = deque()  # chunks sent and not answered, oldest first
 
 
@@ -618,20 +588,21 @@ class _Workers:
     scores every chunk that none of up to ``limit`` workers, processes
     forked lazily and once each (never while other threads run), takes.
 
-    A worker inherits ``score_order`` at the fork.  It is sent a chunk as
-    the structure keys of its trees, rebuilds each listing from its key,
-    and answers with the chunk's values in order; each worker holds at most
-    ``_CHUNKS_IN_FLIGHT`` chunks unanswered.  A worker that dies, or whose
-    pipe fails, is reaped and its unanswered chunks go back to the queue;
-    when a pipe or a fork fails, no worker is forked again.  A worker is
-    ended by a signal, whatever other processes hold its pipes.
+    A worker inherits ``score_order`` at the fork and talks to this process
+    through one duplex ``multiprocessing.connection`` pipe.  It is sent a
+    chunk as the structure keys of its trees, rebuilds each listing from its
+    key, and answers with the chunk's values in order; each worker holds at
+    most ``_CHUNKS_IN_FLIGHT`` chunks unanswered.  A worker that dies, or
+    whose connection fails, is reaped and its unanswered chunks go back to
+    the queue; when a pipe or a fork fails, no worker is forked again.  A
+    worker is ended by a signal, whatever other processes hold its
+    connection.
     """
 
     def __init__(self, score_order: Callable, limit: int):
         self.score_order = score_order
         self.forks_left = limit
-        self.live: dict[int, _Worker] = {}  # by the read end of its replies
-        self.poller = select.poll()
+        self.live: dict = {}  # connection -> _Worker, by this process's end
         self.queue: deque[list] = deque()  # whole chunks no worker has taken yet
         self.chunk: list = []  # the keys of the chunk being filled
         self.values: dict = {}  # key -> value, of the answered chunks
@@ -688,17 +659,22 @@ class _Workers:
             chunk = self.queue.popleft()
             worker.in_flight.append(chunk)
             try:
-                _write_message(worker.commands, chunk)
+                worker.conn.send(chunk)
             except OSError:  # it died: its chunks are queued again
                 self.queue.extend(self._retire(worker))
 
-    def _collect(self, timeout: int | None) -> None:
-        """Read every reply that is ready, waiting up to ``timeout`` ms
+    def _collect(self, timeout: float | None) -> None:
+        """Read every reply that is ready, waiting up to ``timeout`` seconds
         (None: until one is)."""
-        for fd, _ in self.poller.poll(timeout):
-            worker = self.live[fd]
-            values = _read_message(fd)
-            if values is None:  # it died: its chunks are queued again
+        if not self.live:
+            return
+        from multiprocessing.connection import wait  # imported by the first fork
+
+        for conn in wait(list(self.live), timeout):
+            worker = self.live[conn]
+            try:
+                values = conn.recv()
+            except (EOFError, OSError):  # it died: its chunks are queued again
                 self.queue.extend(self._retire(worker))
             else:
                 self.values.update(zip(worker.in_flight.popleft(), values))
@@ -708,36 +684,34 @@ class _Workers:
         if self.forks_left <= 0 or threading.active_count() > 1:
             return None
         self.forks_left -= 1
-        fds: list[int] = []
+        # here, so that importing the package or a run with no worker skips it
+        from multiprocessing.connection import Pipe
+
+        ends = ()
         try:
-            fds += os.pipe()
-            fds += os.pipe()
+            ends = Pipe()
             pid = os.fork()
         except OSError:  # no pipe or no process: score here from now on
-            for fd in fds:
-                os.close(fd)
+            for end in ends:
+                end.close()
             self.forks_left = 0
             return None
-        commands_in, commands, replies, replies_out = fds
+        conn, child = ends
         if pid == 0:
-            os.close(commands)  # so that the run's process, should it die, ends the input
-            _serve(self.score_order, commands_in, replies_out)
-        os.close(commands_in)
-        os.close(replies_out)
-        worker = _Worker(pid, commands, replies)
-        self.live[replies] = worker
-        self.poller.register(replies, select.POLLIN)
+            conn.close()  # so that the run's process, should it die, ends the input
+            _serve(self.score_order, child)
+        child.close()
+        worker = _Worker(pid, conn)
+        self.live[conn] = worker
         return worker
 
     def _retire(self, worker: _Worker) -> deque[list]:
         """End ``worker`` by SIGKILL, even mid-chunk, reap it, close this
-        process's ends of its pipes, and return its unanswered chunks."""
-        del self.live[worker.replies]
-        self.poller.unregister(worker.replies)
+        process's end of its connection, and return its unanswered chunks."""
+        del self.live[worker.conn]
         os.kill(worker.pid, signal.SIGKILL)
         os.waitpid(worker.pid, 0)
-        os.close(worker.commands)
-        os.close(worker.replies)
+        worker.conn.close()
         return worker.in_flight
 
 

@@ -214,6 +214,18 @@ def test_import_leaves_numpy_random_unloaded():
     assert loaded == "False"
 
 
+def test_import_leaves_the_process_modules_unloaded():
+    # the process pool and the scoring workers import these when a run first
+    # needs them, so that no process start pays for them
+    code = (
+        "import sys, mosr.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_experiment_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product over its threads above 10k elements, so
     # the training rows exceed that; a BLAS dot would move the last bits of

@@ -1,3 +1,4 @@
+import csv
 import functools
 import math
 import os
@@ -403,6 +404,25 @@ class TestExecuteExperiment:
         stats, results = execute_experiment(config, str(tmp_path / "out"))
         assert stats.label == "k5"
         assert results[0].eval_count == 60
+
+    def test_a_data_file_name_with_a_comma_reads_back(self, tmp_path):
+        from mosr.benchmarks import generate, save_csv
+
+        data_path = str(tmp_path / "a,b.csv")
+        save_csv(generate("keijzer5", seed=0), data_path)
+        config = ExperimentConfig(
+            data_path=data_path,
+            target="y",
+            train_fraction=0.1,
+            population_size=12,
+            max_evaluations=60,
+            repetitions=1,
+        )
+        execute_experiment(config, str(tmp_path / "out"))
+        with open(tmp_path / "out" / "aggregate.csv", newline="") as handle:
+            header, row = csv.reader(handle)
+        assert len(row) == len(header) == 10
+        assert row[:3] == ["a,b", "tree_length", "1"] and row[-1] == "eq1"
 
 
 class _InlinePool:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mosr.metrics import (
-    accuracy_report,
     fit_linear_scaling,
     make_pearson_r2,
     nmse,
@@ -155,6 +154,11 @@ class TestNmse:
         assert nmse([1, math.inf, 3], [1, 2, 3]) == math.inf
         assert nmse([1, math.nan, 3], [1, 2, 3]) == math.inf
 
+    def test_finite_predictions_whose_squared_error_overflows_are_inf(self):
+        # no RuntimeWarning leaks: exp(400) is what `mosr eval` of (exp x0) gives
+        assert nmse([math.exp(400.0), 2.0, 3.0], [1.0, 2.0, 3.0]) == math.inf
+        assert nmse([1e200, -1e200, 3.0], [1.0, 2.0, 3.0]) == math.inf
+
     def test_zero_variance_target_is_error(self):
         with pytest.raises(ValueError, match="zero-variance"):
             nmse([1, 2, 3], [5, 5, 5])
@@ -216,19 +220,23 @@ class TestLinearScaling:
 
 
 class TestAccuracyReport:
+    """The figures ``mosr eval`` prints: R^2, and NMSE raw and scaled with
+    the scaling fit on the same rows."""
+
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(3)
         pred = rng.normal(size=30)
         actual = 2.0 * pred + rng.normal(scale=0.1, size=30)
-        report = accuracy_report(pred, actual)
-        assert report.nmse_scaled == pytest.approx(1.0 - report.r2, abs=1e-9)
-        assert report.nmse_scaled <= report.nmse_raw + 1e-12
-        assert report.slope == pytest.approx(2.0, abs=0.1)
+        slope, intercept = fit_linear_scaling(pred, actual)
+        nmse_scaled = scaled_nmse(pred, actual, slope, intercept)
+        assert nmse_scaled == pytest.approx(1.0 - pearson_r2(pred, actual), abs=1e-9)
+        assert nmse_scaled <= nmse(pred, actual) + 1e-12
+        assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_scaled_never_exceeds_raw_on_fit_rows(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             pred = rng.normal(size=25)
             actual = rng.normal(size=25)
-            report = accuracy_report(pred, actual)
-            assert report.nmse_scaled <= report.nmse_raw + 1e-12
+            nmse_scaled = scaled_nmse(pred, actual, *fit_linear_scaling(pred, actual))
+            assert nmse_scaled <= nmse(pred, actual) + 1e-12

@@ -1,7 +1,9 @@
 import errno
 import gc
 import math
+import multiprocessing.connection
 import os
+import pickle
 import select
 import signal
 import threading
@@ -603,15 +605,16 @@ def _counting_forks(monkeypatch):
 
 
 def _counting_chunks(monkeypatch):
-    """The chunks this process sends to workers."""
+    """The chunks this process sends to workers (a worker's replies go to
+    its own copy of the list)."""
     sent = []
-    write = trees._write_message
+    send = multiprocessing.connection.Connection.send
 
-    def counted(fd, obj):
+    def counted(conn, obj):
         sent.append(obj)
-        write(fd, obj)
+        send(conn, obj)
 
-    monkeypatch.setattr(trees, "_write_message", counted)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", counted)
     return sent
 
 
@@ -734,20 +737,17 @@ class TestSplit:
         forks = _counting_forks(monkeypatch)
         X, r2, batch = _split_case(5)
         pipes = []
-        pipe = os.pipe
 
-        def second_fails():
+        def fails():  # the first worker's connection
             pipes.append(1)
-            if len(pipes) == 2:
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            return pipe()
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
-        monkeypatch.setattr(os, "pipe", second_fails)
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", fails)
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=3)
         reference = trees.make_matrix_evaluator(X, score=r2)
         evaluate.prepare(batch)
         evaluate.prepare(batch[::-1])
-        assert forks == [] and len(pipes) == 2  # never tried again
+        assert forks == [] and len(pipes) == 1  # never tried again
         _no_child_left()
         _assert_scored_as(evaluate, reference, batch, X.shape[1])
 
@@ -755,15 +755,17 @@ class TestSplit:
     def test_a_failed_second_worker_leaves_the_first(self, failing, monkeypatch):
         forks = _counting_forks(monkeypatch)
         calls = []
-        real = getattr(os, failing)
+        module, name = (multiprocessing.connection, "Pipe") if failing == "pipe" else (os, "fork")
+        real = getattr(module, name)
 
-        def third_fails():  # each worker takes two pipes and one fork
+        def second_fails():  # each worker takes one connection and one fork
             calls.append(1)
-            if len(calls) == (3 if failing == "pipe" else 2):
+            if len(calls) == 2:
                 raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
             return real()
 
-        monkeypatch.setattr(os, failing, third_fails)
+        monkeypatch.setattr(module, name, second_fails)
+        fds = _open_fds()
         X, r2, batch = _split_case(8)
         evaluate = trees.make_matrix_evaluator(X, score=r2, shares=3)
         reference = trees.make_matrix_evaluator(X, score=r2)
@@ -774,6 +776,7 @@ class TestSplit:
         _assert_scored_as(evaluate, reference, batch, X.shape[1])
         evaluate.close()
         _no_child_left()
+        assert _open_fds() == fds  # a connection whose fork failed is closed too
 
     def test_lone_calls_between_a_batchs_calls(self, monkeypatch):
         monkeypatch.setattr(trees, "_MEMO_SIZE", 100)  # the batch overflows it
@@ -888,7 +891,7 @@ class TestSplit:
         evaluate.prepare(first)
         assert killed and len(forks) == 1
         _no_child_left()  # the dead worker is reaped
-        assert _open_fds() == fds  # and its pipes are closed
+        assert _open_fds() == fds  # and its connection is closed
         _assert_scored_as(evaluate, reference, first, X.shape[1])
         evaluate.prepare(batch)  # and every later chunk is scored here
         _assert_scored_as(evaluate, reference, batch, X.shape[1])
@@ -905,9 +908,9 @@ class TestSplit:
         for evaluate in evaluators:
             evaluate.prepare(batch)
         assert len(forks) == 2
-        # the second worker holds the first one's pipe ends, so the first
-        # never sees its input end; closing returns all the same, because
-        # each worker is ended by a signal
+        # the second worker holds the run's end of the first one's
+        # connection, so the first never sees its input end; closing returns
+        # all the same, because each worker is ended by a signal
         for evaluate in evaluators if order == "first closed first" else evaluators[::-1]:
             evaluate.close()
         _no_child_left()
@@ -960,6 +963,23 @@ class TestSplit:
         gc.collect()
         _no_child_left()
         assert _open_fds() == fds
+
+    def test_a_chunk_longer_than_one_write_is_scored_alike(self, monkeypatch):
+        # a connection writes a message above 16 KiB as its length, then its body
+        sent = _counting_chunks(monkeypatch)
+        X, r2, _ = _split_case(18)
+        rng = np.random.default_rng(18)
+        batch = [
+            function("add", [variable(j % 4)] + [constant(c) for c in rng.uniform(-20, 20, 300)])
+            for j in range(trees._CHUNK_TREES)
+        ]
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        evaluate.prepare(batch)
+        assert len(sent) == 1 and len(pickle.dumps(sent[0])) > 16 * 1024
+        _assert_scored_as(evaluate, reference, batch, X.shape[1])
+        evaluate.close()
+        _no_child_left()
 
     def test_a_key_rebuilds_its_tree(self):
         rng = np.random.default_rng(16)
