@@ -326,7 +326,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset in the load_csv format, training rows first."""
     order = np.concatenate([dataset.train_rows, dataset.test_rows])
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as handle:
+    with open(tmp, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(dataset.variable_names) + [dataset.target_name])
         for i in order:

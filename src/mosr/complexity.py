@@ -23,6 +23,7 @@ compares greater than every finite value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping
@@ -182,24 +183,12 @@ RULE_TABLES: dict[str, Callable[[], ComplexityRuleTable]] = {
 
 
 def _sum(values: list[float]) -> float:
+    # a loop, not ``sum``: from Python 3.12 on, ``sum`` of floats is
+    # compensated and would move the last bits away from a left fold
     total = 0.0
     for v in values:
         total += v
     return total
-
-
-def _product_plus_one(values: list[float]) -> float:
-    product = 1.0
-    for v in values:
-        product *= v
-    return product + 1.0
-
-
-def _product_of_incremented(values: list[float]) -> float:
-    product = 1.0
-    for v in values:
-        product *= v + 1.0
-    return product
 
 
 # Each kind that takes any number of children, as functions of one child
@@ -208,9 +197,13 @@ def _product_of_incremented(values: list[float]) -> float:
 # the fold's leading ``0.0 +`` and ``1.0 *`` and stay bit-equal to it.
 _NARY_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
     "sum": (float, lambda a, b: a + b, _sum),
-    "product_plus_one": (lambda v: v + 1.0, lambda a, b: a * b + 1.0, _product_plus_one),
+    "product_plus_one": (
+        lambda v: v + 1.0, lambda a, b: a * b + 1.0, lambda values: math.prod(values) + 1.0
+    ),
     "product_of_incremented": (
-        lambda v: v + 1.0, lambda a, b: (a + 1.0) * (b + 1.0), _product_of_incremented
+        lambda v: v + 1.0,
+        lambda a, b: (a + 1.0) * (b + 1.0),
+        lambda values: math.prod([v + 1.0 for v in values]),
     ),
 }
 

@@ -287,14 +287,17 @@ def _front_models(
     Train NMSE is the training-fit scaled NMSE, computed as 1 - R^2 (the
     OLS identity), which keeps the exported column exactly equal to the
     accuracy objective the front was sorted under.  Test NMSE applies the
-    training-fit slope/intercept to the test rows.
+    training-fit slope/intercept to the test rows; it is NaN when there are
+    no test rows, or their target's variance is zero or overflows.
     """
+    with np.errstate(over="ignore"):
+        test_scorable = bool(y_test.size) and 0.0 < float(np.var(y_test)) < math.inf
     models = []
     for ind in front:
         pred_fit = evaluate_matrix(ind.tree, X_fit)
         train_nmse = 1.0 - pearson_r2(pred_fit, y_fit)
         slope, intercept = fit_linear_scaling(pred_fit, y_fit)
-        if y_test.size:
+        if test_scorable:
             pred_test = evaluate_matrix(ind.tree, X_test)
             test_nmse = scaled_nmse(pred_test, y_test, slope, intercept)
         else:
@@ -349,7 +352,9 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         y_fit = dataset.target[fit_rows]
         if y_fit.size < 2:  # np.var of fewer rows warns or reads 0 for any target
             raise ConfigError(f"a run needs at least 2 training rows to fit on, got {y_fit.size}")
-        if float(np.var(y_fit)) == 0.0:
+        with np.errstate(over="ignore"):  # a variance that overflows is inf, not 0
+            fit_variance = float(np.var(y_fit))
+        if fit_variance == 0.0:
             raise ConfigError("training target has zero variance")
         # the evaluator keeps its own copy of each column, so the fit rows
         # are gathered again for the front rather than held through the run
@@ -423,7 +428,7 @@ def aggregate_results(config: ExperimentConfig, results: Sequence[RunResult]) ->
 
 def _write_text(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
+    with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
 

@@ -105,12 +105,17 @@ def nmse(pred, actual) -> float:
     """Mean squared error over the population variance of ``actual``.
 
     1.0 is the mean predictor; +inf if predictions are non-finite.
-    Raises on a zero-variance target, for which the measure is undefined.
+    Raises on a target whose variance is zero or not finite, for which the
+    measure is undefined.
     """
     p, a = _as_pair(pred, actual)
-    variance = float(np.var(a))
-    if variance == 0.0 or not np.isfinite(variance):
+    # a finite target whose variance overflows reads inf, an infinite one NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(np.var(a))
+    if variance == 0.0:
         raise ValueError("NMSE is undefined for a zero-variance target")
+    if not math.isfinite(variance):
+        raise ValueError("NMSE is undefined for a target whose variance overflows or is NaN")
     if not np.isfinite(p).all():
         return float("inf")
     with np.errstate(over="ignore"):  # finite errors whose squares overflow: inf

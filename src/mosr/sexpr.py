@@ -31,10 +31,13 @@ class ParseError(ValueError):
 
 
 _PRINT_NAME = {"add": "+", "sub": "-", "mul": "*", "div": "div"}
-_SYMBOL_FOR_TOKEN = {"+": "add", "-": "sub", "*": "mul", "div": "div"}
-for _s in UNARY_SYMBOLS:
-    _SYMBOL_FOR_TOKEN[_s] = _s
+_SYMBOL_FOR_TOKEN = {"+": "add", "-": "sub", "*": "mul", "div": "div"} | {
+    symbol: symbol for symbol in UNARY_SYMBOLS
+}
 
+# a parenthesis, or an atom: a run of anything but whitespace and parentheses
+# (``\s`` in a str pattern is exactly what ``str.isspace`` accepts)
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _VARIABLE_RE = re.compile(r"^x(\d+)$")
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
 
@@ -63,26 +66,6 @@ def to_sexpr(tree: Node) -> str:
             name = _PRINT_NAME.get(node.symbol, node.symbol)
             stack.append("(" + " ".join([name] + parts) + ")")
     return stack[0]
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-    return tokens
 
 
 def _leaf_from_atom(token: str, pos: int) -> Node:
@@ -119,38 +102,32 @@ def _close_function(frame, close_pos: int) -> Node:
 
 def parse_sexpr(text: str) -> Node:
     """Parse one expression; errors report a 1-based character position."""
-    tokens = _tokenize(text)
     # frame: [surface token, symbol, symbol position, children, '(' position]
     stack: list[list] = []
     result: Node | None = None
-
-    def attach(node: Node, pos: int) -> None:
-        nonlocal result
-        if stack:
-            stack[-1][3].append(node)
-        elif result is None:
-            result = node
-        else:
-            raise ParseError("unexpected trailing content", pos + 1)
-
-    for kind, token, pos in tokens:
+    for match in _TOKEN_RE.finditer(text):
+        token, pos = match.group(), match.start()
         if result is not None:
             raise ParseError("unexpected trailing content", pos + 1)
-        if kind == "(":
+        if token == "(":
             stack.append([None, None, None, [], pos])
-        elif kind == ")":
+            continue
+        if token == ")":
             if not stack:
                 raise ParseError("unexpected ')'", pos + 1)
-            attach(_close_function(stack.pop(), pos), pos)
+            node = _close_function(stack.pop(), pos)
         elif stack and stack[-1][1] is None:
             symbol = _SYMBOL_FOR_TOKEN.get(token)
             if symbol is None:
                 raise ParseError(f"unknown function symbol '{token}'", pos + 1)
-            stack[-1][0] = token
-            stack[-1][1] = symbol
-            stack[-1][2] = pos
+            stack[-1][:3] = token, symbol, pos
+            continue
         else:
-            attach(_leaf_from_atom(token, pos), pos)
+            node = _leaf_from_atom(token, pos)
+        if stack:
+            stack[-1][3].append(node)
+        else:
+            result = node
 
     if stack:
         raise ParseError("missing ')'", stack[-1][4] + 1)

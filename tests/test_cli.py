@@ -303,3 +303,63 @@ def test_run_flag_defaults_are_config_defaults():
         if f.name != "output_dir":
             assert getattr(args, f.name) == getattr(defaults, f.name), f.name
     assert args.output_dir == "out"
+
+
+def _mosr(*argv, python_flags=()):
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "mosr.cli", *map(str, argv)],
+        capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        # 5 rows at train_fraction 0.75: one test row, whose variance is 0
+        [float(i * i % 7 + i) for i in range(5)],
+        # a variance of about 1e320 overflows to inf
+        [(i % 7 - 3) * 1e160 for i in range(40)],
+    ],
+    ids=["one-test-row", "overflowing-variance"],
+)
+def test_an_unscorable_test_partition_reads_nan(tmp_path, targets):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["x,y"] + [f"{i},{y!r}" for i, y in enumerate(targets)]) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"data = {data}\ntarget = y\ntrain_fraction = 0.75\npopulation_size = 8\n"
+        "max_evaluations = 40\nrepetitions = 1\n"
+    )
+    result = _mosr("experiment", "--config", cfg, "--out-dir", tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    header, row = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["test_nmse"] == "nan"
+
+
+def test_every_text_file_is_written_as_utf8(tmp_path):
+    # the default encoding is the locale's; any open() that relies on it
+    # warns here, and the warning is an error
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    data = tmp_path / "data.csv"
+    result = _mosr(
+        "generate", "--problem", "keijzer5", "--seed", 2, "--out", data, python_flags=flags
+    )
+    assert result.returncode == 0, result.stderr
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"data = {data}\ntarget = y\npopulation_size = 10\nmax_evaluations = 60\n"
+        "repetitions = 2\n"
+    )
+    # one job: a run may fork a scoring worker; two jobs: the process pool
+    for jobs in (1, 2):
+        result = _mosr(
+            "experiment", "--config", cfg, "--out-dir", tmp_path / f"out{jobs}",
+            "--jobs", jobs, python_flags=flags,
+        )
+        assert result.returncode == 0, result.stderr
+    result = _mosr(
+        "eval", "--model", tmp_path / "out1" / "best_0.sexpr", "--data", data,
+        "--target", "y", python_flags=flags,
+    )
+    assert result.returncode == 0, result.stderr

@@ -163,6 +163,14 @@ class TestNmse:
         with pytest.raises(ValueError, match="zero-variance"):
             nmse([1, 2, 3], [5, 5, 5])
 
+    def test_target_whose_variance_is_not_finite_is_error_without_warning(self):
+        # np.var squares 1e160 and subtracts inf from inf: RuntimeWarnings,
+        # which this suite makes errors
+        with pytest.raises(ValueError, match="variance overflows or is NaN"):
+            nmse([1.0, 2.0, 3.0], [-1e160, 0.0, 1e160])
+        with pytest.raises(ValueError, match="variance overflows or is NaN"):
+            nmse([1.0, 2.0, 3.0], [math.inf, 0.0, 1.0])
+
     def test_shift_both_by_constant(self):
         # variance normalization uses the actual values, so a common shift
         # leaves both numerator and denominator unchanged

@@ -102,6 +102,52 @@ class TestParsing:
         with pytest.raises(ParseError, match="overflows"):
             parse_sexpr("1e999")
 
+    @pytest.mark.parametrize(
+        "space",
+        [" ", "\t", "\n", "\r", "\v", "\f", "\x1c", "\xa0", "\u2003"],
+        ids=lambda space: f"U+{ord(space):04X}",
+    )
+    def test_any_unicode_whitespace_separates_tokens(self, space):
+        text = space.join(["", "(", "+", "x0", "(", "sin", "1.5", ")", "-2", ")", ""])
+        assert parse_sexpr(text) == parse_sexpr("(+ x0 (sin 1.5) -2)")
+        assert parse_sexpr(f"(+{space}x0{space}1)") == parse_sexpr("(+ x0 1)")
+
+    def test_a_non_space_character_joins_an_atom(self):
+        # U+200B (zero width space) is not whitespace to str.isspace
+        with pytest.raises(ParseError, match="unknown symbol 'x0\u200b1'"):
+            parse_sexpr("(+ x0\u200b1 2)")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty input", 1),
+            (" \xa0\n", "empty input", 1),
+            ("(+ 1 2", "missing ')'", 1),
+            ("(+ 1 (sin 2)", "missing ')'", 1),
+            ("(+ 1 (sin 2", "missing ')'", 6),
+            (")", "unexpected ')'", 1),
+            ("  ) 1", "unexpected ')'", 3),
+            ("(+ 1 2) 3", "unexpected trailing content", 9),
+            ("1\u2003(+ 1 2)", "unexpected trailing content", 3),
+            ("x0 )", "unexpected trailing content", 4),
+            ("( )", "empty '()' expression", 3),
+            ("(foo 1)", "unknown function symbol 'foo'", 2),
+            ("(+ 1 (3 4))", "unknown function symbol '3'", 7),
+            ("(sin x0 x1)", "'sin' expects exactly 1 argument, got 2", 2),
+            ("(+ (exp) 1)", "'exp' expects exactly 1 argument, got 0", 5),
+            ("(div x0)", "'div' expects at least 2 arguments, got 1", 2),
+            ("(+ 1 bar)", "unknown symbol 'bar'", 6),
+            ("x-1", "unknown symbol 'x-1'", 1),
+            ("(+ 1 sin)", "function symbol 'sin' must be applied in parentheses", 6),
+            ("(* 2 1e999)", "constant '1e999' overflows the float range", 6),
+        ],
+    )
+    def test_every_error_names_its_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_sexpr(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
 
 def test_random_roundtrip_structural_identity():
     rng = np.random.default_rng(99)
