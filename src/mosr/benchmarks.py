@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -259,13 +260,20 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
     The leading ``train_fraction`` of rows, in file order, becomes the
     training partition.  Parse failures and non-finite values (NaN, inf)
     report file line and column name.
+
+    numpy's C reader takes a plain numeric body; any other body (quoted
+    cells, ``1_000``, non-ASCII digits, whitespace-only lines, a bad or
+    non-finite cell) is read again cell by cell with ``float()``.  Both
+    parse a decimal through ``PyOS_string_to_double``, so the table, and
+    every error, is the same either way.
     """
     if not 0.0 <= train_fraction <= 1.0:
         raise ValueError("train_fraction must be in [0, 1]")
     # utf-8-sig drops the byte order mark that spreadsheet programs write
     # before the first column name
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+        # readline, where iteration would switch tell() off
+        reader = csv.reader(iter(handle.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
@@ -279,35 +287,15 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
                 f"{path}: no column named '{target_column}' "
                 f"(columns: {', '.join(map(repr, header))})"
             )
-        rows: list[list[float]] = []
-        row_lines: list[int] = []  # file line of each row (a quoted cell may span lines)
-        for row in reader:
-            line_no = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            parsed = []
-            for name, cell in zip(header, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(  # repr keeps a quoted newline on one line
-                        f"{path}: non-numeric value {cell.strip()!r} "
-                        f"at line {line_no}, column '{name}'"
-                    ) from None
-            rows.append(parsed)
-            row_lines.append(line_no)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.array(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        r, c = bad[0]
-        kind = "NaN" if np.isnan(table[r, c]) else "infinite"
-        raise ValueError(f"{path}: {kind} value at line {row_lines[r]}, column '{header[c]}'")
+        if not handle.seekable():  # a pipe is read once, cell by cell
+            table = _table_by_cell(path, reader, header)
+        elif (table := _numeric_table(handle, len(header))) is None:
+            # from the top, so that a decode error names the byte that a
+            # fresh read of the file names
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            table = _table_by_cell(path, reader, header)
     target_idx = header.index(target_column)
     keep = [i for i in range(len(header)) if i != target_idx]
     n = table.shape[0]
@@ -320,6 +308,71 @@ def load_csv(path: str, target_column: str, train_fraction: float) -> Dataset:
         test_rows=np.arange(n_train, n),
         target_name=target_column,
     )
+
+
+# ASCII information separators: numpy strips them around a number as
+# whitespace, float() rejects them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _numeric_table(handle, n_columns: int) -> np.ndarray | None:
+    """The rest of ``handle`` as numpy's C reader parses it, or None where
+    that table could differ from ``_table_by_cell``'s or its error."""
+    start = handle.tell()
+    try:
+        body = handle.read()
+    except UnicodeDecodeError:
+        return None
+    if any(sep in body for sep in _SEPARATORS):
+        return None
+    del body  # numpy reads the handle again
+    handle.seek(start)
+    with warnings.catch_warnings():
+        # a body without data lines is the full reader's error to report
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(
+                handle, delimiter=",", comments=None, quotechar=None, dtype=float, ndmin=2
+            )
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != n_columns or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _table_by_cell(path: str, reader, header: list[str]) -> np.ndarray:
+    """Parse the data rows left in a csv ``reader`` with ``float()``."""
+    rows: list[list[float]] = []
+    row_lines: list[int] = []  # file line of each row (a quoted cell may span lines)
+    for row in reader:
+        line_no = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}"
+            )
+        parsed = []
+        for name, cell in zip(header, row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ValueError(  # repr keeps a quoted newline on one line
+                    f"{path}: non-numeric value {cell.strip()!r} "
+                    f"at line {line_no}, column '{name}'"
+                ) from None
+        rows.append(parsed)
+        row_lines.append(line_no)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    table = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        r, c = bad[0]
+        kind = "NaN" if np.isnan(table[r, c]) else "infinite"
+        raise ValueError(f"{path}: {kind} value at line {row_lines[r]}, column '{header[c]}'")
+    return table
 
 
 def save_csv(dataset: Dataset, path: str) -> None:

@@ -40,7 +40,10 @@ class Dataset:
         for rows in (self.train_rows, self.test_rows):
             if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
                 raise ValueError("row index out of range")
-        if np.intersect1d(self.train_rows, self.test_rows).size:
+        # a mask, where np.intersect1d would import numpy.ma (about 15 ms)
+        in_train = np.zeros(n_rows, dtype=bool)
+        in_train[self.train_rows] = True
+        if in_train[self.test_rows].any():
             raise ValueError("train and test rows overlap")
 
     @property

@@ -109,18 +109,18 @@ def parse_sexpr(text: str) -> Node:
         token, pos = match.group(), match.start()
         if result is not None:
             raise ParseError("unexpected trailing content", pos + 1)
-        if token == "(":
-            stack.append([None, None, None, [], pos])
-            continue
         if token == ")":
             if not stack:
                 raise ParseError("unexpected ')'", pos + 1)
             node = _close_function(stack.pop(), pos)
-        elif stack and stack[-1][1] is None:
+        elif stack and stack[-1][1] is None:  # a '(' here is no function symbol either
             symbol = _SYMBOL_FOR_TOKEN.get(token)
             if symbol is None:
                 raise ParseError(f"unknown function symbol '{token}'", pos + 1)
             stack[-1][:3] = token, symbol, pos
+            continue
+        elif token == "(":
+            stack.append([None, None, None, [], pos])
             continue
         else:
             node = _leaf_from_atom(token, pos)

@@ -9,6 +9,7 @@ is informative only: it reports the directional comparison without gating.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_criterion_7_pareto_export_property(smoke_experiments):
     for objective2, (_, results, out_dir) in smoke_experiments.items():
         for result in results:
             path = os.path.join(out_dir, f"front_{result.seed}.csv")
-            rows = open(path).read().splitlines()[1:]
+            rows = Path(path).read_text().splitlines()[1:]
             obj2 = [float(r.split(",")[1]) for r in rows]
             train = [float(r.split(",")[2]) for r in rows]
             assert obj2 == sorted(obj2), path
@@ -229,8 +230,8 @@ def test_criterion_8_reproducibility(tmp_path):
     names = sorted(os.listdir(first))
     assert names == sorted(os.listdir(second))
     for name in names:
-        a = open(os.path.join(first, name), "rb").read()
-        b = open(os.path.join(second, name), "rb").read()
+        a = Path(first, name).read_bytes()
+        b = Path(second, name).read_bytes()
         assert a == b, f"{name} differs between identical executions"
     _report(8, f"byte-identical artifacts across re-executions ({len(names)} files)")
 

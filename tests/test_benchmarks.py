@@ -1,10 +1,15 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from mosr import benchmarks
+from mosr.data import Dataset
 from mosr.benchmarks import (
     PROBLEM_NAMES,
     generate,
@@ -184,6 +189,43 @@ class TestGenerate:
         assert x[:, 2].min() >= -1.0 and x[:, 2].max() <= 1.0
 
 
+class TestDataset:
+    def test_overlapping_partitions_are_rejected(self):
+        columns, target = np.zeros((4, 1)), np.zeros(4)
+        Dataset(("x1",), columns, target, [0, 1], [2, 3])
+        with pytest.raises(ValueError, match="train and test rows overlap"):
+            Dataset(("x1",), columns, target, [0, 1, 3], [2, 3])
+        with pytest.raises(ValueError, match="row index out of range"):
+            Dataset(("x1",), columns, target, [0, 4], [2])
+
+    def test_loading_a_csv_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma, about 15 ms of every process start
+        path = tmp_path / "small.csv"
+        path.write_text("x1,y\n1,2\n3,4\n5,6\n")
+        code = (
+            "import sys; from mosr.benchmarks import load_csv; "
+            f"load_csv({str(path)!r}, 'y', 0.5); print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
+
+
+def _load_through_pipe(path, text):
+    def write():
+        with open(path, "w") as handle:
+            handle.write(text)
+
+    os.mkfifo(path)
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return load_csv(path, "y", train_fraction=0.5)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
 class TestCsv:
     def test_split_of_three_rows(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -255,6 +297,40 @@ class TestCsv:
         assert ds.columns[:, 0].tolist() == list(range(20))
         assert ds.target.tolist() == [2.0 * i for i in range(20)]
         assert ds.train_rows.tolist() == list(range(10))
+
+    @pytest.mark.parametrize(
+        "prefix, line_end, pad",
+        [
+            (b"", "\n", ""),
+            (b"\xef\xbb\xbf", "\r\n", " "),
+            (b"", "\r", "\t"),
+            (b"", "\n\n", "\xa0\u3000"),
+        ],
+    )
+    def test_plain_numeric_file_never_reaches_the_full_reader(
+        self, tmp_path, monkeypatch, prefix, line_end, pad
+    ):
+        def full_reader(*args):
+            raise AssertionError("the full reader ran")
+
+        monkeypatch.setattr(benchmarks, "_table_by_cell", full_reader)
+        ds = generate("keijzer5", seed=2)
+        rows = np.column_stack([ds.columns, ds.target])
+        lines = ["x1,x2,x3,y"] + [",".join(pad + repr(float(v)) for v in row) for row in rows]
+        path = tmp_path / "plain.csv"
+        path.write_bytes(prefix + line_end.join(lines).encode("utf-8"))
+        again = load_csv(str(path), "y", train_fraction=len(ds.train_rows) / ds.n_rows)
+        assert again.columns.tobytes() == ds.columns.tobytes()
+        assert again.target.tobytes() == ds.target.tobytes()
+        assert again.train_rows.tolist() == ds.train_rows.tolist()
+
+    def test_a_named_pipe_is_read_in_one_pass(self, tmp_path):
+        # a pipe cannot seek back for the full reader, so it is read cell by cell
+        for i, body in enumerate(["1,2\n3,4\n", '1,"2"\r\n3,4']):
+            ds = _load_through_pipe(str(tmp_path / f"pipe{i}.csv"), "a,y\n" + body)
+            assert ds.target.tolist() == [2.0, 4.0]
+        with pytest.raises(ValueError, match="non-numeric value 'x' at line 3"):
+            _load_through_pipe(str(tmp_path / "bad.csv"), "a,y\n1,2\n3,x\n")
 
     def test_save_load_roundtrip(self, tmp_path):
         ds = generate("keijzer5", seed=2)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def test_problems_lists_eight(capsys):
 def test_generate_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "p10.csv")
     assert main(["generate", "--problem", "poly10", "--seed", "3", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,y"
     assert len(lines) == 1 + 500
 
@@ -57,9 +58,9 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert sorted(os.listdir(out_dir)) == [
         "aggregate.csv", "best_1.sexpr", "front_1.csv", "runs.csv"
     ]
-    runs = open(os.path.join(out_dir, "runs.csv")).read().splitlines()
+    runs = Path(out_dir, "runs.csv").read_text().splitlines()
     assert len(runs) == 2 and runs[1].startswith("1,")
-    assert open(os.path.join(out_dir, "aggregate.csv")).read().splitlines()[1].startswith(
+    assert Path(out_dir, "aggregate.csv").read_text().splitlines()[1].startswith(
         "keijzer5,variables,1,"
     )
     out = capsys.readouterr().out

@@ -4,9 +4,12 @@ Each test draws its inputs from a fixed-seed numpy generator, so a failure
 reproduces exactly; the failing input is in the assertion message.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from mosr import benchmarks
 from mosr.benchmarks import Dataset, load_csv
 from mosr.sexpr import ParseError, parse_sexpr, to_sexpr
 from mosr.trees import constant, evaluate_matrix, mutate, random_tree, replace_subtree
@@ -142,3 +145,114 @@ def test_load_csv_shows_control_characters_escaped(tmp_path, text, message):
     path.write_text(text, newline="")
     with pytest.raises(ValueError, match=message):
         load_csv(str(path), "y", 0.5)
+
+
+# what the two CSV readers could disagree on: number spellings, padding
+# (numpy strips U+001C as whitespace, float() does not), line ends, cells
+# only the full reader reads (quoted, `1_000`, a non-ASCII digit) and cells
+# that make both fail or make the table non-finite
+DIFF_NUMBERS = ("0", "-0", "+1", "7", "-3.25", ".5", "5.", "1e5", "-2.5E-3", "6.02e+23")
+DIFF_ODD_CELLS = (
+    "1_000", "\u0661", '"4.5"', '"1\n2"', '" 3 "', '"-0"',  # float() takes these
+    "", " ", "#", "#1", "nan", "-NaN", "inf", "-Infinity", "1e999",
+    "abc", "1e", "0x10", "\ufeff1", "\x001",
+)
+DIFF_PADS = ("", "", "", " ", "\t", "\f", "\xa0", "\u3000", "\x1c")
+DIFF_LINE_ENDS = ("\n", "\n", "\r\n", "\r")
+
+
+def _diff_number(rng):
+    roll = rng.random()
+    if roll < 0.5:
+        return repr(float(rng.normal(0.0, 10.0 ** int(rng.integers(-3, 4)))))
+    if roll < 0.7:
+        return repr(float(rng.uniform(-1.0, 1.0)) * 10.0 ** int(rng.integers(-320, 309)))
+    return DIFF_NUMBERS[int(rng.integers(len(DIFF_NUMBERS)))]
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _pad(rng, odd):
+    return _pick(rng, DIFF_PADS if rng.random() < odd else DIFF_PADS[:-1])
+
+
+def _diff_csv(rng):
+    """A CSV file's bytes, and the target column to load it with.  Half the
+    files are plain numeric tables; in the other half a cell, pad, line end,
+    line of its own or byte is odd with a small chance each."""
+    odd = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.01, 0.2))
+    n_columns = int(rng.integers(1, 5))
+    header = [f"c{i}" for i in range(n_columns)]
+    target = _pick(rng, header)
+    ends = DIFF_LINE_ENDS if odd else DIFF_LINE_ENDS[:3]
+    lines = [",".join(header)]
+    for _ in range(int(rng.integers(1, 7)) if rng.random() < 0.9 else 0):
+        if rng.random() < odd:
+            lines.append(_pick(rng, ("", "", " ", "\t", "\u3000", "#", ",")))
+            continue
+        width = n_columns + (int(rng.choice([-1, 1])) if rng.random() < odd / 3 else 0)
+        cells = []
+        for _ in range(max(width, 0)):
+            cell = _pick(rng, DIFF_ODD_CELLS) if rng.random() < odd else _diff_number(rng)
+            cells.append(_pad(rng, odd) + cell + _pad(rng, odd))
+        lines.append(",".join(cells))
+    text = "".join(line + _pick(rng, ends) for line in lines)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no line end after the last line
+    data = text.encode("utf-8")
+    if rng.random() < odd / 4:  # a byte that is not UTF-8
+        cut = int(rng.integers(len(data) + 1))
+        data = data[:cut] + b"\xff" + data[cut:]
+    bom = b"\xef\xbb\xbf" if rng.random() < 0.2 else b""
+    return bom + data, target
+
+
+def _load_outcome(path, target, train_fraction):
+    """What load_csv gives: the dataset's bytes, names and partitions, or
+    the error's type and message."""
+    try:
+        ds = load_csv(path, target, train_fraction)
+    except Exception as exc:  # the type is part of the outcome
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        "dataset",
+        ds.columns.dtype.str, ds.columns.shape, ds.columns.tobytes(), ds.target.tobytes(),
+        ds.variable_names, ds.target_name, ds.train_rows.tolist(), ds.test_rows.tolist(),
+    )
+
+
+def compare_csv_readers(rng, path, count):
+    """Load ``count`` generated files with load_csv and with the full
+    reader on its own; return the mismatches and which path each took."""
+    counts = {"numeric": 0, "full reader": 0}
+    mismatches = []
+    by_cell = benchmarks._table_by_cell
+
+    def counted(*args):
+        counts["full reader"] += 1
+        return by_cell(*args)
+
+    for _ in range(count):
+        data, target = _diff_csv(rng)
+        train_fraction = float(rng.uniform(0.0, 1.0))
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with mock.patch.object(benchmarks, "_table_by_cell", counted):
+            used = counts["full reader"]
+            got = _load_outcome(path, target, train_fraction)
+            if counts["full reader"] == used and got[0] == "dataset":
+                counts["numeric"] += 1
+        with mock.patch.object(benchmarks, "_numeric_table", lambda handle, n: None):
+            want = _load_outcome(path, target, train_fraction)
+        if got != want:
+            mismatches.append((data, got, want))
+    return mismatches, counts
+
+
+def test_load_csv_matches_the_full_reader(tmp_path):
+    rng = np.random.default_rng(47)
+    mismatches, counts = compare_csv_readers(rng, str(tmp_path / "diff.csv"), 3000)
+    assert not mismatches, mismatches[:3]
+    assert min(counts.values()) > 500, counts

@@ -3,6 +3,7 @@ import functools
 import math
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,7 +639,7 @@ class TestFrontExport:
         path = str(tmp_path / "front.csv")
         models = _front_models(front, ds.X_train, ds.y_train, ds.X_test, ds.y_test)
         write_front_csv(models, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "length,objective2,train_nmse,test_nmse,model"
         assert len(lines) == 4
         obj2 = [float(line.split(",")[1]) for line in lines[1:]]
@@ -649,5 +650,5 @@ class TestFrontExport:
         models = [FrontModel(1, 1.0, 0.9, 0.95, "3")]
         path = str(tmp_path / "one.csv")
         write_front_csv(models, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 2

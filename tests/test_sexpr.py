@@ -140,6 +140,9 @@ class TestParsing:
             ("x-1", "unknown symbol 'x-1'", 1),
             ("(+ 1 sin)", "function symbol 'sin' must be applied in parentheses", 6),
             ("(* 2 1e999)", "constant '1e999' overflows the float range", 6),
+            ("((+ 1 2))", "unknown function symbol '('", 2),
+            ("((sin x0) x1 x2)", "unknown function symbol '('", 2),
+            ("(()", "unknown function symbol '('", 2),
         ],
     )
     def test_every_error_names_its_position(self, text, message, position):
