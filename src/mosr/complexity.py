@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .sexpr import format_constant
-from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, postorder
+from .trees import BINARY_SYMBOLS, UNARY_SYMBOLS, Node, structure_key
 
 _INF = float("inf")
 
@@ -208,49 +208,86 @@ _NARY_KINDS: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
-def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[list[Node]], float]:
+def _complexity_fold(rules: ComplexityRuleTable) -> Callable[[tuple], float]:
     """The measure of ``rules`` as a fold of a value stack over a tree's
-    :func:`postorder` list, so trees of any depth can be measured.  Each
-    rule's function is chosen here, once.  ``rules`` must cover every
-    function symbol; :func:`make_measure` checks that."""
-    one, two, many = {}, {}, {}
+    :func:`~mosr.trees.structure_key`, so trees of any depth can be
+    measured.  Each rule's function is chosen here, once.  ``rules`` must
+    cover every function symbol; :func:`make_measure` checks that."""
+    one, two, many = {}, {}, {}  # unary symbols' rules; binary ones' of 2 and of n children
     for symbol, rule in rules.rules.items():
         if rule.kind == "power":
             one[symbol] = partial(_saturating_pow, exponent=rule.parameter)
         elif rule.kind == "exponential":
             one[symbol] = partial(_saturating_pow, rule.parameter)
+        elif symbol in UNARY_SYMBOLS:
+            one[symbol] = _NARY_KINDS[rule.kind][0]
         else:
-            one[symbol], two[symbol], many[symbol] = _NARY_KINDS[rule.kind]
+            _, two[symbol], many[symbol] = _NARY_KINDS[rule.kind]
     constant_value, variable_value = float(rules.constant_value), float(rules.variable_value)
 
-    def fold(order: list[Node]) -> float:
+    def fold(key: tuple) -> float:
         stack: list[float] = []
-        for node in order:
-            kids = node.children
-            if not kids:
-                stack.append(constant_value if node.symbol == "const" else variable_value)
-            elif len(kids) == 1:
-                stack[-1] = one[node.symbol](stack[-1])
-            elif len(kids) == 2:  # the common case, kept off the slicing path
-                right = stack.pop()
-                stack[-1] = two[node.symbol](stack[-1], right)
-            else:  # a node's child values are the top len(kids), first child deepest
-                values = stack[-len(kids):]
-                del stack[-len(kids):]
-                stack.append(many[node.symbol](values))
+        items = iter(key)
+        next(items)  # the variable count
+        for item in items:
+            kind = type(item)
+            if kind is str:
+                f = one.get(item)
+                if f is not None:
+                    stack[-1] = f(stack[-1])
+                else:
+                    f = two.get(item)
+                    if f is None:  # a constant's float.hex
+                        stack.append(constant_value)
+                    else:
+                        right = stack.pop()
+                        stack[-1] = f(stack[-1], right)
+            elif kind is int:
+                stack.append(variable_value)
+            elif kind is float:
+                stack.append(constant_value)
+            else:  # a node's child values are the top n, first child deepest
+                symbol, n = item
+                values = stack[-n:]
+                del stack[-n:]
+                stack.append(many[symbol](values))
         return stack[0]
 
     return fold
 
 
+_UNARY, _BINARY = frozenset(UNARY_SYMBOLS), frozenset(BINARY_SYMBOLS)
+
+
+def _visitation_length(key: tuple) -> float:
+    sizes: list[int] = []  # the subtree size of each node whose parent is to come
+    total = 0
+    items = iter(key)
+    next(items)  # the variable count
+    for item in items:
+        if item in _BINARY:
+            size = sizes.pop() + sizes.pop() + 1
+        elif item in _UNARY:
+            size = sizes.pop() + 1
+        elif type(item) is tuple:
+            n = item[1]
+            size = sum(sizes[-n:]) + 1
+            del sizes[-n:]
+        else:
+            size = 1
+        sizes.append(size)
+        total += size
+    return float(total)
+
+
 MEASURES = ("variables", "tree_length", "visitation_length", "complexity")
 
-# The measures without rules, each a function of a tree's postorder list,
-# whose last node is the root.
-_RULELESS_FOLDS: dict[str, Callable[[list[Node]], float]] = {
-    "variables": lambda order: float(order[-1].n_var),
-    "tree_length": lambda order: float(order[-1].size),
-    "visitation_length": lambda order: float(sum(n.size for n in order)),
+# The measures without rules, each a function of a tree's structure key,
+# whose first item is the tree's variable count and each later one a node.
+_RULELESS_FOLDS: dict[str, Callable[[tuple], float]] = {
+    "variables": lambda key: float(key[0]),
+    "tree_length": lambda key: float(len(key) - 1),
+    "visitation_length": _visitation_length,
 }
 
 
@@ -260,8 +297,8 @@ def make_measure(
     """Objective function for one measure name (see :data:`MEASURES`).
 
     The returned function of a tree has a ``fold`` attribute: the same
-    measure as a function of the tree's :func:`postorder` list, for a
-    caller that has listed the tree already.
+    measure as a function of the tree's :func:`~mosr.trees.structure_key`,
+    for a caller that has keyed the tree already.
     """
     if name == "complexity":
         table = rule_table if rule_table is not None else default_rule_table()
@@ -274,7 +311,7 @@ def make_measure(
         raise ValueError(f"unknown complexity measure '{name}' (choose from {MEASURES})")
 
     def measure(tree: Node) -> float:
-        return fold(postorder(tree))
+        return fold(structure_key(tree))
 
     measure.fold = fold
     return measure

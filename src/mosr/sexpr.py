@@ -17,7 +17,7 @@ from .trees import (
     Node,
     constant,
     function,
-    postorder,
+    structure_key,
     variable,
 )
 
@@ -31,6 +31,7 @@ class ParseError(ValueError):
 
 
 _PRINT_NAME = {"add": "+", "sub": "-", "mul": "*", "div": "div"}
+_ARITY = dict.fromkeys(UNARY_SYMBOLS, 1) | dict.fromkeys(BINARY_SYMBOLS, 2)
 _SYMBOL_FOR_TOKEN = {"+": "add", "-": "sub", "*": "mul", "div": "div"} | {
     symbol: symbol for symbol in UNARY_SYMBOLS
 }
@@ -52,19 +53,24 @@ def format_constant(value: float) -> str:
 
 
 def to_sexpr(tree: Node) -> str:
-    """The tree's text; an explicit stack, so any depth can be written."""
+    """The tree's text, folded over its :func:`~mosr.trees.structure_key`,
+    so any depth can be written."""
     stack: list[str] = []
-    for node in postorder(tree):
-        kids = node.children
-        if node.symbol == "const":
-            stack.append(format_constant(node.value))
-        elif node.symbol == "var":
-            stack.append(f"x{node.value}")
-        else:  # a node's child texts are the top len(kids), first child deepest
-            parts = stack[-len(kids):]
-            del stack[-len(kids):]
-            name = _PRINT_NAME.get(node.symbol, node.symbol)
-            stack.append("(" + " ".join([name] + parts) + ")")
+    items = iter(structure_key(tree))
+    next(items)  # the variable count
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            stack.append(f"x{item}")
+        elif kind is float:
+            stack.append(format_constant(item))
+        elif kind is str and item not in _ARITY:  # a constant's float.hex
+            stack.append(format_constant(float.fromhex(item)))
+        else:  # a node's child texts are the top n, first child deepest
+            symbol, n = item if kind is tuple else (item, _ARITY[item])
+            parts = stack[-n:]
+            del stack[-n:]
+            stack.append("(" + " ".join([_PRINT_NAME.get(symbol, symbol)] + parts) + ")")
     return stack[0]
 
 

@@ -10,20 +10,22 @@ node of a kind (any node, a function, a leaf, a constant or a variable) is
 found by one descent from the root that skips each child subtree holding
 ``k`` or fewer such nodes (``k`` counts from 0); no walk lists the tree.  Crossover and
 mutation draw ``k`` uniformly from the count of the kind they vary and
-rebuild only the path the descent took.  :func:`postorder` lists every
-node after its children, the order in which the evaluator, the complexity
-measure and the writer fold a value stack without recursion.  Length and
-depth are the cached ``Node.size`` and ``Node.height``.
+rebuild only the path the descent took.  :func:`structure_key` encodes a
+tree in one walk: its variable count, then one item per node, each node
+after its children.  Equal trees have equal keys and only they do, and the
+evaluator, the complexity measures and the writer fold a value stack over
+the items without recursion.  Length and depth are the cached ``Node.size``
+and ``Node.height``.
 
 There is one evaluator: :func:`make_matrix_evaluator` prepares the columns
 of a matrix once and returns a callable that evaluates trees on them;
 :func:`evaluate_matrix` is that callable applied to a single tree.  Given
 a score function (the search objective's 1 - R^2), the callable returns the
 score of the values instead.  Its ``prepare`` is then the one scorer: it
-scores a batch of trees, with the help of forked worker processes that
-score chunks of it while the batch is still being drawn, and keeps the
-scores of the distinct trees it saw last, keyed by structure; a call for a
-tree outside the last batch is a batch of one.
+keys each tree of a batch and scores the distinct keys, with the help of
+forked worker processes that score chunks of keys while the batch is still
+being drawn, and keeps the scores of the distinct trees it saw last, by
+key; a call for a tree outside the last batch is a batch of one.
 
 Function symbols:
 
@@ -150,21 +152,38 @@ def function(symbol: str, children: Sequence[Node]) -> Node:
     return Node(symbol, None, kids)
 
 
-def postorder(tree: Node) -> list[Node]:
-    """All nodes, each after its children and children left to right.
+def structure_key(tree: Node) -> tuple:
+    """The tree's variable count, then one item per node, each node after
+    its children and children left to right; one walk, no recursion.
 
-    Folding a value stack over this list finds a node's child values on top
-    of the stack, first child deepest.  No recursion, so depth is free.
+    A variable is its index (an int).  A constant is its value (a float),
+    or the value's ``float.hex`` (a str) when the value is integral or NaN,
+    so that no constant equals a variable's index, ``0.0`` is not ``-0.0``
+    and every NaN is the same constant.  A function is its symbol, with its
+    child count when it has more than two.  Read with those arities, the
+    items spell exactly one tree, so keys are equal iff the trees are
+    (``Node.__eq__``); a value stack folded over them finds a node's child
+    values on top, first child deepest.
     """
     # visiting the last child first and reversing gives exactly this order
-    order: list[Node] = []
+    items: list = []
+    append = items.append
     todo = [tree]
+    pop = todo.pop
     while todo:
-        node = todo.pop()
-        order.append(node)
-        todo += node.children
-    order.reverse()
-    return order
+        node = pop()
+        kids = node.children
+        if kids:
+            append(node.symbol if len(kids) < 3 else (node.symbol, len(kids)))
+            todo += kids
+        elif node.symbol == "var":
+            append(node.value)
+        else:
+            value = node.value
+            append(value.hex() if value.is_integer() or value != value else value)
+    append(tree.n_var)
+    items.reverse()
+    return tuple(items)
 
 
 Path = list[tuple[Node, int]]  # each ancestor, root first, and the position of the child taken
@@ -298,54 +317,68 @@ def _probe_rows(n_rows: int) -> np.ndarray:
 
 
 def _make_fold(cols: list[np.ndarray], unary: dict, domain_test: dict) -> Callable:
-    """Value-stack fold of a :func:`postorder` node list over the columns
+    """Value-stack fold of a :func:`structure_key` over the columns
     ``cols``.  The fold returns the tree's value (a scalar, a column or a
     stored array included), or None at the first failed domain test."""
     n_cols = len(cols)
     binary = _BINARY_IMPL
-    # symbol -> that function of each column, filled in on first use
-    column_values: dict[str, list] = {s: [None] * n_cols for s in _CACHED_UNARY}
+    fromhex = float.fromhex
     # symbol -> whether each column passes its domain test
     column_in_domain = {
         s: [bool(test(col, 0.0).all()) for col in cols] for s, test in domain_test.items()
     }
+    # symbol -> the function, its domain test or None, and its value of each
+    # column, filled in on first use, or None when it is not stored
+    unary_ops = {
+        s: (op, domain_test.get(s), [None] * n_cols if s in _CACHED_UNARY else None)
+        for s, op in unary.items()
+    }
 
-    def fold(order: list[Node]):
+    def fold(key: tuple):
         stack: list = []
         push, pop = stack.append, stack.pop
-        for node in order:
-            kids = node.children
-            if not kids:
-                push(cols[node.value] if node.symbol == "var" else node.value)
-            elif len(kids) == 1:
-                symbol = node.symbol
-                arg = pop()
-                test = domain_test.get(symbol)
-                if kids[0].symbol == "var":
-                    j = kids[0].value
-                    if test is not None and not column_in_domain[symbol][j]:
+        items = iter(key)
+        next(items)  # the variable count
+        prev = None  # the item before, a unary function's child when it is a leaf
+        for item in items:
+            kind = type(item)
+            if kind is str:
+                entry = unary_ops.get(item)
+                if entry is not None:
+                    op, test, stored = entry
+                    if type(prev) is int:  # of a bare column
+                        if test is not None and not column_in_domain[item][prev]:
+                            return None
+                        if stored is None:
+                            stack[-1] = op(stack[-1])
+                        else:
+                            if stored[prev] is None:
+                                stored[prev] = op(stack[-1])
+                                stored[prev].flags.writeable = False
+                            stack[-1] = stored[prev]
+                    elif test is not None and not test(stack[-1], 0.0).all():
                         return None
-                    stored = column_values.get(symbol)
-                    if stored is not None:
-                        if stored[j] is None:
-                            stored[j] = unary[symbol](arg)
-                            stored[j].flags.writeable = False
-                        push(stored[j])
-                        continue
-                elif test is not None and not test(arg, 0.0).all():
-                    return None
-                push(unary[symbol](arg))
-            elif len(kids) == 2:  # the common case, kept off the slicing path
-                right = pop()
-                push(binary[node.symbol](pop(), right))
-            else:  # n-ary: fold left to right
-                fold_op = binary[node.symbol]
-                args = stack[-len(kids):]
-                del stack[-len(kids):]
+                    else:
+                        stack[-1] = op(stack[-1])
+                elif item in binary:
+                    right = pop()
+                    stack[-1] = binary[item](stack[-1], right)
+                else:  # a constant's float.hex
+                    push(fromhex(item))
+            elif kind is int:
+                push(cols[item])
+            elif kind is float:
+                push(item)
+            else:  # an n-ary function: fold its children left to right
+                symbol, n = item
+                op = binary[symbol]
+                args = stack[-n:]
+                del stack[-n:]
                 acc = args[0]
                 for value in args[1:]:
-                    acc = fold_op(acc, value)
+                    acc = op(acc, value)
                 push(acc)
+            prev = item
         return pop()
 
     return fold
@@ -356,28 +389,11 @@ def _holds_no_nan(out) -> bool:
     return out is not None and not np.isnan(out).any()
 
 
-def _structure_key(order: list[Node]) -> tuple:
-    """Hashable key of the tree :func:`postorder` listed as ``order``:
-    equal keys iff the trees are equal (``Node.__eq__``).
-
-    A variable is its index (an int) and a constant the ``float.hex`` of
-    its value (a str), so ``x1`` is not the constant ``1.0`` and ``0.0`` is
-    not ``-0.0``.  A function is its symbol, with its child count when it
-    has more than two; read in post-order with those arities, the key
-    spells exactly one tree.
-    """
-    return tuple([
-        (node.value if node.symbol == "var" else node.value.hex()) if not node.children
-        else node.symbol if len(node.children) < 3 else (node.symbol, len(node.children))
-        for node in order
-    ])
-
-
 def make_matrix_evaluator(
     X: np.ndarray,
     *,
     score: Callable[[np.ndarray], object] | None = None,
-    measure: Callable[[list[Node]], object] | None = None,
+    measure: Callable[[tuple], object] | None = None,
     shares: int = 1,
 ) -> Callable[[Node], object]:
     """Prepared evaluator over the rows of matrix ``X`` (rows x variables).
@@ -397,12 +413,12 @@ def make_matrix_evaluator(
     same value for every vector holding a NaN (Pearson R^2 is one), the
     callable returns ``score`` of the tree's values instead of the values.
     ``score`` must not write to its argument, which may be a column of
-    ``X`` or a stored value.  With ``measure`` as well, a function of the
-    :func:`postorder` list of a tree (``make_measure(...).fold``), the
-    callable returns the pair ``(score, measure)``, and the measure is
-    folded over the list the evaluator made.  The value of each of the last
-    ``_MEMO_SIZE`` distinct trees scored is kept, keyed by structure, and a
-    tree equal to one of them gets its kept value without being evaluated.
+    ``X`` or a stored value.  With ``measure`` as well, a function of a
+    tree's :func:`structure_key` (``make_measure(...).fold``), the callable
+    returns the pair ``(score, measure)``, and the measure is folded over
+    the key the evaluator made.  The value of each of the last
+    ``_MEMO_SIZE`` distinct trees scored is kept by key, and a tree equal
+    to one of them gets its kept value without being evaluated.
 
     Given ``score``, the callable also returns the score of an all-NaN
     vector, computed once, for some trees whose exact value holds a NaN in
@@ -418,20 +434,20 @@ def make_matrix_evaluator(
 
     The scoring callable has a ``prepare(trees)`` method, the only code
     that scores a tree.  It takes any iterable, an iterator that draws the
-    trees lazily included, lists each tree once as it comes, scores the
-    distinct trees that are not kept, and leaves every kept value, and the
+    trees lazily included, keys each tree once as it comes, scores the
+    distinct keys that are not kept, and leaves every kept value, and the
     order in which they were last used, as the calls one by one in batch
     order would; each later call for one of these tree objects returns its
     value at once, until the next ``prepare``.  A call for any other tree
     checks its variables and is ``prepare`` of that tree alone.  A tree
     using a variable ``X`` lacks is left to its call, which raises.
 
-    Every batch is scored by one loop, in chunks of ``_CHUNK_TREES`` trees
+    Every batch is scored by one loop, in chunks of ``_CHUNK_TREES`` keys
     (see :class:`_Workers`).  With ``shares`` above 1, up to ``shares - 1``
     worker processes take whole chunks while the iterator draws the next
     trees; this process scores the chunks no worker took, all of them when
     ``shares`` is 1, ``os.fork`` does not exist or other threads run.  A
-    tree's value depends on the tree alone, so where it is computed changes
+    tree's value depends on its key alone, so where it is computed changes
     no value.  The callable's ``close()`` ends the workers; it is
     idempotent, and runs when the callable is collected.
     """
@@ -452,7 +468,7 @@ def make_matrix_evaluator(
         def evaluate_tree(tree: Node) -> np.ndarray:
             check_columns(tree)
             with np.errstate(all="ignore"):
-                out = fold(postorder(tree))
+                out = fold(structure_key(tree))
             if np.ndim(out) == 0:
                 return np.full(n_rows, float(out))
             if not out.flags.writeable:
@@ -473,22 +489,22 @@ def make_matrix_evaluator(
     # id of each tree of the last prepared batch -> (the tree, its value)
     prepared: dict[int, tuple[Node, object]] = {}
 
-    def score_order(order: list[Node]):
+    def score_key(key: tuple):
         out = None
         with np.errstate(all="ignore"):
             if (
                 probe is None
-                or _DOMAIN_TEST.keys().isdisjoint(node.symbol for node in order)
-                or _holds_no_nan(probe(order))
+                or _DOMAIN_TEST.keys().isdisjoint(key)
+                or _holds_no_nan(probe(key))
             ):
-                out = fold(order)
+                out = fold(key)
         if out is None:
             value = nan_score
         else:
             value = score(np.full(n_rows, float(out)) if np.ndim(out) == 0 else out)
-        return value if measure is None else (value, measure(order))
+        return value if measure is None else (value, measure(key))
 
-    workers = _Workers(score_order, shares - 1 if hasattr(os, "fork") else 0)
+    workers = _Workers(score_key, shares - 1 if hasattr(os, "fork") else 0)
 
     def score_tree(tree: Node):
         entry = prepared.get(id(tree))
@@ -503,22 +519,21 @@ def make_matrix_evaluator(
         batch: list[Node] = []
         keys: list[tuple | None] = []  # None: a tree the call rejects
         values: dict[tuple, object] = {}  # key -> value, for the kept trees
-        misses: dict[tuple, list[Node]] = {}  # key -> listing, for the rest
+        misses: set[tuple] = set()  # the keys of the rest
         try:
             for tree in trees:
                 batch.append(tree)
                 if tree.max_var >= n_cols:
                     keys.append(None)
                     continue
-                order = postorder(tree)
-                key = _structure_key(order)
+                key = structure_key(tree)
                 keys.append(key)
                 if key in memo:
                     values[key] = memo[key]
                 elif key not in misses:
-                    misses[key] = order
+                    misses.add(key)
                     workers.deal(key)
-            values.update(workers.finish(misses))
+            values.update(workers.finish())
         except BaseException:
             workers.abandon()
             raise
@@ -539,37 +554,14 @@ def make_matrix_evaluator(
     return score_tree
 
 
-_ARITY = dict.fromkeys(UNARY_SYMBOLS, 1) | dict.fromkeys(BINARY_SYMBOLS, 2)
-
-
-def _listing(key: tuple) -> list[Node]:
-    """The :func:`postorder` list of the tree whose :func:`_structure_key`
-    is ``key``, built anew."""
-    order: list[Node] = []
-    stack: list[Node] = []
-    for item in key:
-        if isinstance(item, int):
-            node = Node("var", item, ())
-        else:
-            symbol, arity = item if isinstance(item, tuple) else (item, _ARITY.get(item, 0))
-            if arity:
-                node = Node(symbol, None, tuple(stack[-arity:]))
-                del stack[-arity:]
-            else:  # not a symbol: a constant's float.hex
-                node = Node("const", float.fromhex(item), ())
-        stack.append(node)
-        order.append(node)
-    return order
-
-
-def _serve(score_order: Callable, conn) -> None:
+def _serve(score_key: Callable, conn) -> None:
     """A worker's life: receive chunks of structure keys on ``conn`` and
     send back their values, until the run's process kills it or closes its
     end of ``conn`` (an ``EOFError``).  Never returns."""
     try:
         while True:
             keys = conn.recv()
-            conn.send([score_order(_listing(key)) for key in keys])
+            conn.send([score_key(key) for key in keys])
     finally:
         os._exit(0)
 
@@ -588,10 +580,10 @@ class _Workers:
     scores every chunk that none of up to ``limit`` workers, processes
     forked lazily and once each (never while other threads run), takes.
 
-    A worker inherits ``score_order`` at the fork and talks to this process
+    A worker inherits ``score_key`` at the fork and talks to this process
     through one duplex ``multiprocessing.connection`` pipe.  It is sent a
-    chunk as the structure keys of its trees, rebuilds each listing from its
-    key, and answers with the chunk's values in order; each worker holds at
+    chunk as the structure keys of its trees, scores each key as it is,
+    and answers with the chunk's values in order; each worker holds at
     most ``_CHUNKS_IN_FLIGHT`` chunks unanswered.  A worker that dies, or
     whose connection fails, is reaped and its unanswered chunks go back to
     the queue; when a pipe or a fork fails, no worker is forked again.  A
@@ -599,8 +591,8 @@ class _Workers:
     connection.
     """
 
-    def __init__(self, score_order: Callable, limit: int):
-        self.score_order = score_order
+    def __init__(self, score_key: Callable, limit: int):
+        self.score_key = score_key
         self.forks_left = limit
         self.live: dict = {}  # connection -> _Worker, by this process's end
         self.queue: deque[list] = deque()  # whole chunks no worker has taken yet
@@ -614,7 +606,7 @@ class _Workers:
             self.chunk = []
             self._top_up()
 
-    def finish(self, misses: dict[tuple, list[Node]]) -> dict:
+    def finish(self) -> dict:
         """The value of every key dealt since the last ``finish``: this
         process scores the last, partial chunk and the whole ones no worker
         takes, then waits for the rest."""
@@ -623,7 +615,7 @@ class _Workers:
             self._top_up()
             if rest or self.queue:
                 for key in rest or self.queue.pop():
-                    self.values[key] = self.score_order(misses[key])
+                    self.values[key] = self.score_key(key)
                 rest = []
             elif any(worker.in_flight for worker in self.live.values()):
                 self._collect(None)
@@ -673,11 +665,14 @@ class _Workers:
         for conn in wait(list(self.live), timeout):
             worker = self.live[conn]
             try:
-                values = conn.recv()
+                # every reply it has sent, so that it has room for as many chunks
+                while True:
+                    values = conn.recv()
+                    self.values.update(zip(worker.in_flight.popleft(), values))
+                    if not (worker.in_flight and conn.poll()):
+                        break
             except (EOFError, OSError):  # it died: its chunks are queued again
                 self.queue.extend(self._retire(worker))
-            else:
-                self.values.update(zip(worker.in_flight.popleft(), values))
 
     def _fork(self) -> _Worker | None:
         # a fork copies only the calling thread: another's locks stay held
@@ -699,7 +694,7 @@ class _Workers:
         conn, child = ends
         if pid == 0:
             conn.close()  # so that the run's process, should it die, ends the input
-            _serve(self.score_order, child)
+            _serve(self.score_key, child)
         child.close()
         worker = _Worker(pid, conn)
         self.live[conn] = worker

@@ -1,19 +1,32 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mosr.complexity import (
+    _NARY_KINDS,
+    MEASURES,
     ComplexityRuleTable,
     Rule,
     RuleTableError,
+    _saturating_pow,
     default_rule_table,
     figure_consistent_rule_table,
     make_measure,
     rule_from_string,
 )
+from mosr.harness import ExperimentConfig
 from mosr.sexpr import parse_sexpr
-from mosr.trees import constant, random_tree, replace_subtree, subtree_at, variable
+from mosr.trees import (
+    constant,
+    function,
+    random_tree,
+    replace_subtree,
+    structure_key,
+    subtree_at,
+    variable,
+)
 
 F1 = "(exp (sin (sqrt x0)))"
 F2 = "(+ (* 7 (square x0)) (* 3 x0) 5)"
@@ -279,3 +292,82 @@ class TestMeasureFactory:
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError, match="unknown complexity measure"):
             make_measure("entropy")
+
+
+def _postorder(tree):
+    order, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node.children
+    order.reverse()
+    return order
+
+
+def _listing_measures(table):
+    """The four measures as folds of a post-order node listing, as they were
+    before they read the structure key."""
+    one, two, many = {}, {}, {}
+    for symbol, rule in table.rules.items():
+        if rule.kind == "power":
+            one[symbol] = partial(_saturating_pow, exponent=rule.parameter)
+        elif rule.kind == "exponential":
+            one[symbol] = partial(_saturating_pow, rule.parameter)
+        else:
+            one[symbol], two[symbol], many[symbol] = _NARY_KINDS[rule.kind]
+
+    def recursive(order):
+        stack = []
+        for node in order:
+            kids = node.children
+            if not kids:
+                stack.append(
+                    float(table.constant_value if node.symbol == "const" else table.variable_value)
+                )
+            elif len(kids) == 1:
+                stack[-1] = one[node.symbol](stack[-1])
+            elif len(kids) == 2:
+                right = stack.pop()
+                stack[-1] = two[node.symbol](stack[-1], right)
+            else:
+                values = stack[-len(kids):]
+                del stack[-len(kids):]
+                stack.append(many[node.symbol](values))
+        return stack[0]
+
+    return {
+        "variables": lambda order: float(order[-1].n_var),
+        "tree_length": lambda order: float(order[-1].size),
+        "visitation_length": lambda order: float(sum(n.size for n in order)),
+        "complexity": recursive,
+    }
+
+
+RULE_VARIANTS = {
+    "eq1": ExperimentConfig(problem="keijzer5", rules="eq1"),
+    "figure": ExperimentConfig(problem="keijzer5", rules="figure"),
+    "rule.*": ExperimentConfig(
+        problem="keijzer5",
+        rules="eq1",
+        rule_overrides={"sin": "sum", "add": "product_of_incremented", "sqrt": "exponential:3",
+                        "variable": "1.5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("rules", sorted(RULE_VARIANTS))
+def test_each_measure_reads_the_listing_s_value_from_the_key(rules):
+    table = RULE_VARIANTS[rules].rule_table()
+    listed = _listing_measures(table)
+    rng = np.random.default_rng(37)
+    pool = [random_tree(rng, n_variables=3, max_length=60) for _ in range(400)]
+    pool += [parse_sexpr(t) for t in (F1, F2, "(+ x0 -0 0 x1)", "x1", "-0.0")]
+    pool += [parse_sexpr("(- x0 (div 1 x1 x2 3) (sin x0) 4)"), parse_sexpr("(* (+ 1 2 3 4) x2)")]
+    pool += [constant(math.nan), function("mul", [constant(-math.inf), variable(1)])]
+    pool.append(parse_sexpr("(exp " * 1200 + "(+ x0 2.5 x0)" + ")" * 1200))  # saturates
+    for name in MEASURES:
+        measure = make_measure(name, table)
+        for tree in pool:
+            want = listed[name](_postorder(tree))
+            assert measure.fold(structure_key(tree)).hex() == want.hex(), (name, tree)
+            assert measure(tree).hex() == want.hex(), (name, tree)

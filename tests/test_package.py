@@ -13,6 +13,8 @@ import pytest
 
 from mosr import harness
 from mosr.harness import ExperimentConfig
+from mosr.sexpr import parse_sexpr
+from mosr.trees import structure_key
 
 USED_BY_BENCHMARK = {
     "harness": (
@@ -92,3 +94,44 @@ def test_the_traced_evaluator_keeps_prepare(monkeypatch):
         assert all(tree is want for (_, tree), want in zip(events[at + 1:], batch))
         at += 1 + len(batch)
     assert at == len(events)
+
+
+def test_the_traced_measure_keeps_fold(monkeypatch):
+    # the tracer wraps make_measure's result with functools.wraps, and the
+    # harness hands the evaluator that wrapper's fold, so the wrapper must
+    # carry a fold that takes what the evaluator passes it: a structure key
+    make = harness.make_measure
+    wrapped, keys = [], []
+
+    def traced_make(*args, **kwargs):
+        measure = make(*args, **kwargs)
+
+        @functools.wraps(measure)
+        def traced(tree):
+            return measure(tree)
+
+        wrapped.append(traced)
+        return traced
+
+    make_evaluator = harness.make_matrix_evaluator
+
+    def recording_make(X, *args, measure, **kwargs):
+        def fold(key):
+            keys.append(key)
+            return measure(key)
+
+        assert measure is wrapped[-1].fold
+        return make_evaluator(X, *args, measure=fold, **kwargs)
+
+    monkeypatch.setattr(harness, "make_measure", traced_make)
+    monkeypatch.setattr(harness, "make_matrix_evaluator", recording_make)
+    config = ExperimentConfig(
+        problem="keijzer5", objective2="complexity", population_size=20, max_evaluations=100
+    )
+    result = harness.execute_run(config, 3)
+    (traced,) = wrapped
+    assert callable(traced.fold) and keys
+    assert all(isinstance(key, tuple) for key in keys)
+    for model in result.front:
+        tree = parse_sexpr(model.sexpr)
+        assert traced.fold(structure_key(tree)) == traced(tree) == model.objective2

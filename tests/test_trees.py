@@ -124,7 +124,7 @@ def _uncached(tree, X):
 
 def _closure(fn):
     """The free variables of ``fn`` by name, and those of the evaluator's
-    own nested functions it closes over, its scorer's ``score_order`` too."""
+    own nested functions it closes over, its scorer's ``score_key`` too."""
     found: dict = {}
     todo = [fn]
     while todo:
@@ -136,14 +136,15 @@ def _closure(fn):
             if getattr(value, "__qualname__", "").startswith("make_matrix_evaluator.<locals>"):
                 todo.append(value)
             elif isinstance(value, trees._Workers):
-                todo.append(value.score_order)
+                todo.append(value.score_key)
     return found
 
 
 def _stored_arrays(evaluator):
     """The column values a prepared evaluator's full-row fold has stored so far."""
-    stored = _closure(_closure(evaluator)["fold"])["column_values"]
-    return [a for per_column in stored.values() for a in per_column if a is not None]
+    ops = _closure(_closure(evaluator)["fold"])["unary_ops"]
+    stored = [per_column for _, _, per_column in ops.values() if per_column is not None]
+    return [a for per_column in stored for a in per_column if a is not None]
 
 
 # sin/cos/log of a bare column at the root, inside subtrees, and repeated
@@ -441,7 +442,7 @@ class TestNanProbe:
 
 
 def _key(text):
-    return trees._structure_key(trees.postorder(parse_sexpr(text)))
+    return trees.structure_key(parse_sexpr(text))
 
 
 # trees that differ only where a careless key would merge them
@@ -452,6 +453,143 @@ KEY_PAIRS = [
     ("(+ x0 x1 x2)", "(+ (+ x0 x1) x2)"),
     ("(- (- x0 x1 x2) x0)", "(- x0 (- x1 x2) x0)"),
 ]
+
+
+def _postorder(tree):
+    """Every node, each after its children and children left to right: the
+    listing the evaluator used to fold before it folded the key."""
+    order, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node.children
+    order.reverse()
+    return order
+
+
+def _listing_key(tree):
+    """The key as it was built from that listing: constants as their
+    ``float.hex``, and no variable count."""
+    return tuple([
+        (node.value if node.symbol == "var" else node.value.hex()) if not node.children
+        else node.symbol if len(node.children) < 3 else (node.symbol, len(node.children))
+        for node in _postorder(tree)
+    ])
+
+
+def _listing_fold(cols, unary, domain_test):
+    """The evaluator's fold of a listing, as it was before it read the key."""
+    column_values = {s: [None] * len(cols) for s in trees._CACHED_UNARY}
+    column_in_domain = {
+        s: [bool(test(col, 0.0).all()) for col in cols] for s, test in domain_test.items()
+    }
+
+    def fold(order):
+        stack = []
+        for node in order:
+            kids = node.children
+            if not kids:
+                stack.append(cols[node.value] if node.symbol == "var" else node.value)
+            elif len(kids) == 1:
+                symbol, arg = node.symbol, stack.pop()
+                test = domain_test.get(symbol)
+                if kids[0].symbol == "var":
+                    j = kids[0].value
+                    if test is not None and not column_in_domain[symbol][j]:
+                        return None
+                    stored = column_values.get(symbol)
+                    if stored is not None:
+                        if stored[j] is None:
+                            stored[j] = unary[symbol](arg)
+                            stored[j].flags.writeable = False
+                        stack.append(stored[j])
+                        continue
+                elif test is not None and not test(arg, 0.0).all():
+                    return None
+                stack.append(unary[symbol](arg))
+            else:
+                args = stack[-len(kids):]
+                del stack[-len(kids):]
+                acc = args[0]
+                for value in args[1:]:
+                    acc = trees._BINARY_IMPL[node.symbol](acc, value)
+                stack.append(acc)
+        return stack.pop()
+
+    return fold
+
+
+def _tree_from_key(key):
+    """The tree a key spells, built anew from its items."""
+    functions = trees.UNARY_SYMBOLS + trees.BINARY_SYMBOLS
+    stack = []
+    for item in key[1:]:
+        if isinstance(item, int):
+            stack.append(variable(item))
+        elif isinstance(item, float):
+            stack.append(constant(item))
+        elif isinstance(item, str) and item not in functions:
+            stack.append(constant(float.fromhex(item)))
+        else:
+            symbol, n = item if isinstance(item, tuple) else (item, 2)
+            n = 1 if symbol in trees.UNARY_SYMBOLS else n
+            kids = stack[-n:]
+            del stack[-n:]
+            stack.append(function(symbol, kids))
+    (tree,) = stack
+    return tree
+
+
+def _key_cases():
+    yield from (parse_sexpr(text) for text in (*NARY_TREES, *CACHED_SHAPES))
+    yield from (parse_sexpr(text) for pair in KEY_PAIRS for text in pair)
+    yield from (parse_sexpr(t) for t in ("(+ x0 -0 0 x1)", "(div 1 x3)", "(* 1e300 -2 x0)"))
+    yield from (constant(v) for v in (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324))
+    yield function("mul", [constant(-math.inf), variable(1)])
+    rng = np.random.default_rng(41)
+    yield from (random_tree(rng, n_variables=4, max_length=60) for _ in range(300))
+
+
+class TestStructureKey:
+    def test_the_one_walk_key_spells_the_listing_s_key(self):
+        depth = 3000
+        deep = parse_sexpr("(sin " * depth + "(+ x0 -0.0 0 2.5)" + ")" * depth)
+        for tree in list(_key_cases()) + [deep]:
+            key = trees.structure_key(tree)
+            assert key[0] == tree.n_var and len(key) == tree.size + 1
+            # a constant that is neither integral nor NaN is its float itself
+            as_listed = tuple(item.hex() if isinstance(item, float) else item for item in key[1:])
+            assert as_listed == _listing_key(tree), to_sexpr(tree)
+
+    def test_keys_are_equal_exactly_when_the_listing_s_keys_are(self):
+        pool = list(_key_cases())
+        keys = [trees.structure_key(tree) for tree in pool]
+        listed = [_listing_key(tree) for tree in pool]
+        for key_a, listed_a in zip(keys, listed):
+            for key_b, listed_b in zip(keys, listed):
+                assert (key_a == key_b) == (listed_a == listed_b)
+
+    @pytest.mark.parametrize("n_rows", [1, 32, 250, 15_000])
+    @pytest.mark.parametrize("scoring", [False, True], ids=["values", "scoring"])
+    def test_the_key_fold_is_byte_equal_to_the_listing_fold(self, n_rows, scoring):
+        X = _probe_data(max(n_rows, 13))[:n_rows]
+        unary, domain_test = trees._UNARY_IMPL, {}
+        if scoring:
+            unary, domain_test = dict(trees._UNARY_IMPL, log=np.log), trees._DOMAIN_TEST
+        cols = trees._read_only_columns(X)
+        by_key = trees._make_fold(cols, unary, domain_test)
+        by_listing = _listing_fold(cols, unary, domain_test)
+        cases = [t for t in _key_cases() if t.max_var < X.shape[1]]
+        if n_rows > 250:
+            cases = cases[:150]
+        with np.errstate(all="ignore"):
+            for tree in cases:
+                got, want = by_key(trees.structure_key(tree)), by_listing(_postorder(tree))
+                if want is None:
+                    assert got is None, to_sexpr(tree)
+                    continue
+                assert np.shape(got) == np.shape(want), to_sexpr(tree)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), to_sexpr(tree)
 
 
 def _exact_bytes(values):
@@ -477,7 +615,7 @@ class TestScoreMemo:
             nonlocal repeats
             got = 1.0 - memoised(tree)
             assert got.hex() == (1.0 - r2(exact(tree))).hex(), to_sexpr(tree)
-            key = trees._structure_key(trees.postorder(tree))
+            key = trees.structure_key(tree)
             repeats += key in seen
             seen.add(key)
             return got, measure(tree)
@@ -495,7 +633,7 @@ class TestScoreMemo:
         pool = [random_tree(rng, n_variables=2, max_length=4) for _ in range(250)]
         pool += [parse_sexpr(text) for pair in KEY_PAIRS for text in pair]
         pool += [constant(0.0), constant(-0.0), constant(math.nan), constant(1.0), variable(1)]
-        keys = [trees._structure_key(trees.postorder(tree)) for tree in pool]
+        keys = [trees.structure_key(tree) for tree in pool]
         for a, key_a in zip(pool, keys):
             for b, key_b in zip(pool, keys):
                 assert (key_a == key_b) == (a == b), (to_sexpr(a), to_sexpr(b))
@@ -655,14 +793,14 @@ class TestSplit:
         batch = [tree for tree in batch if tree.max_var < X.shape[1]]
         folded = []
 
-        def measure(order):
-            folded.append(order[-1])
-            return float(len(order))
+        def measure(key):
+            folded.append(key)
+            return float(len(key) - 1)
 
         evaluate = trees.make_matrix_evaluator(X, score=r2, measure=measure)
         for tree in batch + batch:
             assert evaluate(tree) == (r2(evaluate_matrix(tree, X)), float(tree.size))
-        assert len(folded) == len({trees._structure_key(trees.postorder(t)) for t in batch})
+        assert len(folded) == len({trees.structure_key(t) for t in batch})
         _no_child_left()
 
     @pytest.mark.parametrize("case", ["one share", "few to score", "threads"])
@@ -703,7 +841,7 @@ class TestSplit:
         distinct = {}
         while len(distinct) < 2 * trees._CHUNK_TREES:
             tree = random_tree(rng, n_variables=4, max_length=20)
-            distinct.setdefault(trees._structure_key(trees.postorder(tree)), tree)
+            distinct.setdefault(trees.structure_key(tree), tree)
         lone, *short = list(distinct.values())[: trees._CHUNK_TREES]
         assert evaluate(lone).hex() == reference(lone).hex()
         evaluate.prepare(short)  # a lone tree, then one short of a chunk: scored here
@@ -987,9 +1125,63 @@ class TestSplit:
         shapes += [parse_sexpr(t) for t in ("(+ x0 -0 0 x1)", "(div 1 x3)", "x2", "-7.5")]
         shapes += [constant(math.inf), function("mul", [constant(-math.inf), variable(1)])]
         for tree in shapes:
-            key = trees._structure_key(trees.postorder(tree))
-            rebuilt = trees._listing(key)
-            assert rebuilt[-1] == tree and trees._structure_key(rebuilt) == key
+            key = trees.structure_key(tree)
+            rebuilt = _tree_from_key(key)
+            assert rebuilt == tree and trees.structure_key(rebuilt) == key
+
+    def test_a_worker_scores_its_keys_without_building_a_tree(self, monkeypatch):
+        forks = _counting_forks(monkeypatch)
+        sent = _counting_chunks(monkeypatch)
+        X, r2, batch = _split_case(19)
+        reference = trees.make_matrix_evaluator(X, score=r2)
+        want = {id(tree): reference(tree) for tree in batch if tree.max_var < X.shape[1]}
+        evaluate = trees.make_matrix_evaluator(X, score=r2, shares=2)
+
+        def no_node(node, *args):
+            raise AssertionError("a Node was built while scoring")
+
+        monkeypatch.setattr(trees.Node, "__init__", no_node)  # in the worker too
+        evaluate.prepare(batch)
+        assert len(forks) == 1 and sent
+        assert len(_closure(evaluate)["workers"].live) == 1  # it answered every chunk
+        for tree in batch:
+            if tree.max_var < X.shape[1]:
+                assert evaluate(tree).hex() == want[id(tree)].hex()
+        evaluate.close()
+        _no_child_left()
+
+    def test_a_worker_that_answered_two_chunks_is_sent_two(self, monkeypatch):
+        parent = os.getpid()
+        replies, replied = os.pipe()  # a byte for each reply a worker has sent
+        send = multiprocessing.connection.Connection.send
+
+        def marked(conn, obj):
+            send(conn, obj)
+            if os.getpid() != parent:
+                os.write(replied, b".")
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", marked)
+        workers = trees._Workers(lambda key: -key, 1)
+        n = trees._CHUNK_TREES
+        chunks = [list(range(k * n, (k + 1) * n)) for k in range(4)]
+        try:
+            workers.queue.extend(chunks[:2])
+            workers._top_up()  # forks the worker and sends it both
+            (worker,) = workers.live.values()
+            assert len(worker.in_flight) == 2
+            got = b""
+            while len(got) < 2 and select.select([replies], [], [], 20)[0]:
+                got += os.read(replies, 2 - len(got))
+            assert got == b".."  # both answered, neither read yet
+            workers.queue.extend(chunks[2:])
+            workers._top_up()
+            assert not workers.queue and len(worker.in_flight) == 2
+            assert workers.finish() == {key: -key for chunk in chunks for key in chunk}
+        finally:
+            workers.close()
+            os.close(replies)
+            os.close(replied)
+        _no_child_left()
 
 
 class TestShape:
